@@ -1,12 +1,13 @@
 # Build/verify entry points. `make ci` is the tier-1 gate plus a race pass
-# over the parallel engine (short mode: the full experiment determinism
-# matrix is too slow under the race detector's instrumentation), the
-# checkpoint round-trip gate, an examples link pass, an end-to-end run of
-# every checked-in workload scenario (testdata/workloads/*.wl under
-# msim), a shuffled short test pass (order-dependent tests are bugs),
-# the generated-scenario determinism fuzzer (mbench -gen: 200 wgen
-# seeds, every engine, bit-identical, failures replayable with
-# msim -gen-seed), the fault-injection soak and a snapshot-decoder fuzzing smoke
+# over the supervision, service and distributed-engine goroutines (short
+# mode: the full experiment determinism matrix is too slow under the race
+# detector's instrumentation), the checkpoint round-trip gate, an
+# examples link pass, an end-to-end run of every checked-in workload
+# scenario (testdata/workloads/*.wl under msim), a shuffled short test
+# pass (order-dependent tests are bugs), the generated-scenario
+# determinism fuzzer (mbench -gen: 200 wgen seeds, naive and event
+# engines plus a distributed subsample, bit-identical, failures
+# replayable with msim -gen-seed), the fault-injection soak and a snapshot-decoder fuzzing smoke
 # (the supervision layer's containment contracts, see DESIGN.md
 # "Supervised runs & fault injection"), the msimd service chaos soak
 # (mbench -serve: checkpoint-based recovery must be bit-identical, see
@@ -22,9 +23,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race speedup checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke bench benchdiff
+.PHONY: ci build vet lint test shuffle race checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke bench benchdiff
 
-ci: build vet lint test shuffle race speedup checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke benchdiff
+ci: build vet lint test shuffle race checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -37,7 +38,8 @@ vet:
 # multi-ready select on simulation paths, no wall clock or global rand
 # outside supervision, no goroutines outside the supervised pools, every
 # snapshot-covered struct field encoded or tagged snap:"derived", plus
-# shadow/copylocks/nilness. Any unsuppressed finding fails the gate;
+# shadow and nilness (copylocks is left to the vet leg, which runs it by
+# default). Any unsuppressed finding fails the gate;
 # every suppression carries a reason (`mlint -suppressions` audits them).
 lint:
 	$(GO) run ./cmd/mlint
@@ -54,12 +56,6 @@ shuffle:
 
 race:
 	$(GO) test -race -short ./...
-
-# Parallel-engine speedup tripwire, in its own invocation so the wall-clock
-# measurement never contends with other package test binaries (it skips on
-# hosts with fewer than 4 cores).
-speedup:
-	PARALLEL_SPEEDUP=1 $(GO) test -run TestParallelSpeedup -count=1 .
 
 # Checkpoint round-trip gate, in its own invocation so a snapshot
 # regression is named in CI output: the engine-pair determinism matrix
@@ -91,7 +87,7 @@ wl:
 
 # Generated-scenario determinism fuzzer (internal/wgen via cmd/mbench
 # -gen): 200 seed-derived scenarios — sweeps, user-mode grants, message
-# storms — each run under every in-process engine (plus a distributed
+# storms — each run under the naive and event engines (plus a distributed
 # subsample), bit-identical digests and trace streams required. A
 # failure prints the seed; `msim -gen-seed N` replays it.
 gen:

@@ -28,21 +28,19 @@ import (
 // soakEngines are the engine configurations every containment contract
 // is exercised under.
 var soakEngines = []struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }{
-	{"naive", true, 0},
-	{"event", false, 0},
-	{"parallel3", false, 3},
+	{"naive", true},
+	{"event", false},
 }
 
 const soakNodes = 6
 
 // soakSpin boots a mesh where every node increments forever, the
 // canonical runaway workload: always busy, never completing.
-func soakSpin(naive bool, workers int) (*core.Sim, error) {
-	s, err := core.NewSim(core.Options{Nodes: soakNodes, NaiveEngine: naive, Workers: workers})
+func soakSpin(naive bool) (*core.Sim, error) {
+	s, err := core.NewSim(core.Options{Nodes: soakNodes, NaiveEngine: naive})
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +68,7 @@ func runFaultSoak(w io.Writer) error {
 	}{{0, 100}, {4, 777}, {5, 2048}}
 	for _, eng := range soakEngines {
 		for _, site := range sites {
-			s, err := soakSpin(eng.naive, eng.workers)
+			s, err := soakSpin(eng.naive)
 			if err != nil {
 				return err
 			}
@@ -95,7 +93,7 @@ func runFaultSoak(w io.Writer) error {
 	// every engine.
 	const budget = 3000
 	for _, eng := range soakEngines {
-		s, err := soakSpin(eng.naive, eng.workers)
+		s, err := soakSpin(eng.naive)
 		if err != nil {
 			return err
 		}
@@ -114,7 +112,7 @@ func runFaultSoak(w io.Writer) error {
 	// Leg 3: a wall-clock stall (injected per-step delay) trips the
 	// watchdog with a diagnostic attached.
 	{
-		s, err := soakSpin(false, 0)
+		s, err := soakSpin(false)
 		if err != nil {
 			return err
 		}
@@ -135,7 +133,7 @@ func runFaultSoak(w io.Writer) error {
 	// crash cycle.
 	{
 		dump := dir + "/crash.msnap"
-		s, err := soakSpin(false, 0)
+		s, err := soakSpin(false)
 		if err != nil {
 			return err
 		}
@@ -171,7 +169,7 @@ func runFaultSoak(w io.Writer) error {
 	// round-trippable checkpoint; a panic anywhere fails the soak.
 	{
 		const mutations = 48
-		s, err := soakSpin(false, 0)
+		s, err := soakSpin(false)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@
 // experiments (V-Thread latency tolerance, SEND throttling, GTLB
 // interleaving, guarded pointers, synchronization bits, block caching),
 // and the scaling extensions (network sweep, grid smoothing, large-mesh
-// scaling under the parallel engine).
+// scaling).
 //
 // Independent experiments fan out across runtime.GOMAXPROCS worker
 // goroutines (most experiments additionally run their own machines
@@ -223,7 +223,7 @@ var experiments = []experiment{
 		}
 		return core.FormatGridSmooth(rows), ms, nil
 	}},
-	{"meshscale", "E14 (extension). Large-mesh scaling under the parallel engine", func() (string, []Metric, error) {
+	{"meshscale", "E14 (extension). Large-mesh scaling", func() (string, []Metric, error) {
 		rows, err := core.MeshScaleExperiment()
 		if err != nil {
 			return "", nil, err

@@ -12,7 +12,7 @@
 // Flags are grouped:
 //
 //	run control:  -nodes -node -vthread -cluster -cycles -trace
-//	engine:       -naive -workers -caching -dist
+//	engine:       -naive -caching -dist
 //	snapshot:     -save -restore
 //	workload:     -workload
 //	generator:    -gen-seed -gen-dump
@@ -28,7 +28,7 @@
 // In workload mode the mesh shape, caching mode, cycle budgets, and
 // placement all come from the scenario file, so -nodes/-node/-vthread/
 // -cluster/-cycles and the snapshot flags do not combine with -workload;
-// the engine flags (-naive, -workers), -trace, and the supervision flags
+// the engine flag (-naive), -trace, and the supervision flags
 // (-timeout, -crash-dump) do. -dist N (workload mode only) runs the
 // scenario on the distributed engine instead: the mesh is partitioned
 // across N shard worker processes supervised by a coordinator with
@@ -76,7 +76,7 @@ var flagGroups = []struct {
 	flags []string
 }{
 	{"run control", []string{"nodes", "node", "vthread", "cluster", "cycles", "trace"}},
-	{"engine", []string{"naive", "workers", "caching", "dist"}},
+	{"engine", []string{"naive", "caching", "dist"}},
 	{"snapshot", []string{"save", "restore"}},
 	{"supervision", []string{"timeout", "crash-dump"}},
 	{"workload", []string{"workload"}},
@@ -97,7 +97,6 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print the event trace")
 	// Engine.
 	naive := flag.Bool("naive", false, "use the reference per-cycle loop instead of the event engine")
-	workers := flag.Int("workers", 0, "parallel chip engine worker count (0 serial, -1 all cores)")
 	caching := flag.Bool("caching", false, "cache remote data in local DRAM")
 	distShards := flag.Int("dist", 0, "run -workload across this many shard worker processes (0 in-process)")
 	// Snapshot.
@@ -129,7 +128,7 @@ func main() {
 		usageErr("-gen-dump requires -gen-seed")
 	}
 
-	engine := core.Options{NaiveEngine: *naive, Workers: *workers, Timeout: *timeout, CrashDump: *crashDump}
+	engine := core.Options{NaiveEngine: *naive, Timeout: *timeout, CrashDump: *crashDump}
 	if *workloadPath != "" {
 		if flag.NArg() != 0 {
 			usageErr("-workload runs a scenario file; the positional program argument does not apply")
@@ -437,7 +436,7 @@ func workloadFlagConflict(visit func(func(*flag.Flag))) string {
 // deadlines, and checkpoint recovery replace the in-process guard).
 func distFlagConflict(visit func(func(*flag.Flag))) string {
 	incompatible := map[string]bool{
-		"naive": true, "workers": true, "timeout": true, "crash-dump": true,
+		"naive": true, "timeout": true, "crash-dump": true,
 	}
 	conflict := ""
 	visit(func(f *flag.Flag) {

@@ -28,7 +28,6 @@ func TestWorkloadFlagConflict(t *testing.T) {
 		fs.String("save", "", "")
 		fs.String("restore", "", "")
 		fs.Bool("naive", false, "")
-		fs.Int("workers", 0, "")
 		fs.Bool("trace", false, "")
 		fs.Duration("timeout", 0, "")
 		fs.String("crash-dump", "", "")
@@ -50,7 +49,7 @@ func TestWorkloadFlagConflict(t *testing.T) {
 		{[]string{"-workload", "s.wl", "-caching"}, "caching"},
 		{[]string{"-workload", "s.wl", "-vthread", "1", "-cluster", "2"}, "cluster"}, // Visit walks lexically
 		// The engine and supervision flags stay compatible.
-		{[]string{"-workload", "s.wl", "-naive", "-workers", "2", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
+		{[]string{"-workload", "s.wl", "-naive", "-trace", "-timeout", "1s", "-crash-dump", "d"}, ""},
 	} {
 		fs := newSet(tc.args...)
 		if got := workloadFlagConflict(fs.Visit); got != tc.want {
@@ -63,7 +62,6 @@ func TestDistFlagConflict(t *testing.T) {
 	newSet := func(args ...string) *flag.FlagSet {
 		fs := flag.NewFlagSet("msim", flag.PanicOnError)
 		fs.Bool("naive", false, "")
-		fs.Int("workers", 0, "")
 		fs.Int("dist", 0, "")
 		fs.Bool("trace", false, "")
 		fs.Duration("timeout", 0, "")
@@ -81,7 +79,6 @@ func TestDistFlagConflict(t *testing.T) {
 		{[]string{"-workload", "s.wl", "-dist", "2"}, ""},
 		{[]string{"-workload", "s.wl", "-dist", "2", "-trace"}, ""},
 		{[]string{"-workload", "s.wl", "-dist", "2", "-naive"}, "naive"},
-		{[]string{"-workload", "s.wl", "-dist", "2", "-workers", "4"}, "workers"},
 		{[]string{"-workload", "s.wl", "-dist", "2", "-timeout", "1s"}, "timeout"},
 		{[]string{"-workload", "s.wl", "-dist", "2", "-crash-dump", "d"}, "crash-dump"},
 	} {

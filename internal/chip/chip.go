@@ -153,10 +153,10 @@ type Chip struct {
 	// outbox buffers the messages this chip produced during the current
 	// Step (SENDs, hardware acks, resends). The chip never injects into the
 	// shared network directly: the machine drains outboxes in node-index
-	// order after every chip has stepped, which reproduces the serial
-	// engines' injection order exactly (a chip cannot observe another
+	// order after every chip has stepped, which reproduces an
+	// inject-during-step order exactly (a chip cannot observe another
 	// chip's same-cycle injections) while keeping Chip.Step free of shared
-	// state — the property the parallel engine shards on.
+	// state — the property the distributed engine's shard workers rely on.
 	outbox []*noc.Message
 
 	// validDIPs restricts the dispatch instruction pointers user threads
@@ -175,14 +175,6 @@ type Chip struct {
 	// reconstruction (Figure 9).
 	Trace func(cycle int64, node int, event, detail string) `snap:"derived,engine hook, reinstalled by the owner"`
 
-	// BufferTrace redirects trace events into a per-chip buffer that the
-	// machine flushes in node-index order after the chip phase (FlushTrace).
-	// The parallel engine sets it so concurrently stepping chips still
-	// produce the exact serial trace stream; the callback itself is shared
-	// and must not be invoked from worker goroutines.
-	BufferTrace bool         `snap:"derived,engine mode flag, set by the owner"`
-	traceBuf    []traceEvent `snap:"derived,drained every cycle, empty at snapshot points"`
-
 	Cycle int64
 
 	// Event-engine state (see DESIGN.md, "The NextEvent contract"). wake is
@@ -190,12 +182,8 @@ type Chip struct {
 	// each Step; idleStalled and idleSendsBlocked record the per-cycle stat
 	// side effects of an idle issue scan so SkipCycles can replay them
 	// without stepping, keeping skipped runs bit-identical to the naive
-	// per-cycle loop. onWake, if set, observes every external lowering of
-	// the wake cycle (WakeAt, Touch, LoadProgram) — the parallel engine's
-	// due-set hook (see DESIGN.md, "Active-set scheduling"). It fires only
-	// from the machine's serial phases, never from inside Step.
+	// per-cycle loop.
 	wake             int64              `snap:"derived,recomputed by the first Step after restore"`
-	onWake           func(at int64)     `snap:"derived,engine hook, reinstalled by the owner"`
 	idleStalled      []*cluster.HThread `snap:"derived,per-cycle idle-scan replay cache, reset at adopt"`
 	idleSendsBlocked uint64             `snap:"derived,per-cycle idle-scan replay cache, reset at adopt"`
 
@@ -254,20 +242,7 @@ func (c *Chip) LoadProgram(vthread, cl int, p *isa.Program, privileged bool) {
 // Touch resets the chip's event-engine wake cycle. Callers that mutate
 // architectural state from outside the simulation (register pokes, queue
 // pushes in tests) must Touch the chip so a sleeping engine rescans it.
-func (c *Chip) Touch() {
-	c.wake = 0
-	if c.onWake != nil {
-		c.onWake(0)
-	}
-}
-
-// SetWakeHook installs fn to observe every external lowering of the chip's
-// wake cycle (WakeAt, Touch, LoadProgram). The parallel engine uses it to
-// re-enter the chip into its shard's due-set; the hook must therefore never
-// report a cycle later than the chip's true wake. All call sites run on the
-// machine goroutine between chip phases, so fn needs no synchronization
-// beyond the engine's own barriers. nil uninstalls.
-func (c *Chip) SetWakeHook(fn func(at int64)) { c.onWake = fn }
+func (c *Chip) Touch() { c.wake = 0 }
 
 // RegisterDIP marks a dispatch instruction pointer as legal for user SENDs.
 func (c *Chip) RegisterDIP(dip uint64) { c.validDIPs[dip] = true }
@@ -289,38 +264,11 @@ func (c *Chip) MsgQueue(p int) *events.Queue { return c.msgq[p] }
 // ExcQueue exposes the synchronous exception queue.
 func (c *Chip) ExcQueue() *events.Queue { return c.excq }
 
-// traceEvent is one buffered trace record (see BufferTrace).
-type traceEvent struct {
-	cycle         int64
-	event, detail string
-}
-
 func (c *Chip) trace(event, detail string) {
 	if c.Trace == nil {
 		return
 	}
-	if c.BufferTrace {
-		c.traceBuf = append(c.traceBuf, traceEvent{c.Cycle, event, detail})
-		return
-	}
 	c.Trace(c.Cycle, c.Index, event, detail)
-}
-
-// FlushTrace delivers buffered trace events to the Trace callback in
-// emission order. The machine calls it per chip, in node-index order, after
-// the chip phase of each cycle; together with per-cycle flushing this keeps
-// the observed stream identical to the serial engines'.
-func (c *Chip) FlushTrace() {
-	if len(c.traceBuf) == 0 {
-		return
-	}
-	if c.Trace != nil {
-		for i := range c.traceBuf {
-			e := &c.traceBuf[i]
-			c.Trace(e.cycle, c.Index, e.event, e.detail)
-		}
-	}
-	c.traceBuf = c.traceBuf[:0]
 }
 
 // send buffers a message for injection into the network. The machine
@@ -437,9 +385,6 @@ func (c *Chip) NextEvent(now int64) int64 {
 func (c *Chip) WakeAt(at int64) {
 	if at < c.wake {
 		c.wake = at
-		if c.onWake != nil {
-			c.onWake(at)
-		}
 	}
 }
 

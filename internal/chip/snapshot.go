@@ -322,8 +322,8 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 }
 
 // Adopt commits src's state into c in place, preserving c's identity and
-// environment: node coordinate, network and GDT bindings, trace callback
-// and buffering mode, and the engine wake hook. The caller must Touch the
+// environment: node coordinate, network and GDT bindings, and the trace
+// callback. The caller must Touch the
 // chip afterwards (the machine's restore does) so a sleeping engine
 // re-derives the wake cycle from the adopted state.
 func (c *Chip) Adopt(src *Chip) {
@@ -372,5 +372,4 @@ func (c *Chip) Adopt(src *Chip) {
 	// SkipCycles could consult it).
 	c.idleStalled = c.idleStalled[:0]
 	c.idleSendsBlocked = 0
-	c.traceBuf = c.traceBuf[:0]
 }

@@ -60,20 +60,6 @@ type Options struct {
 	// are bit-identical (see TestDeterminismEngines); the naive loop is
 	// the debug baseline the engine is validated against.
 	NaiveEngine bool
-	// Workers selects the parallel chip engine: busy cycles shard the chip
-	// phase across this many goroutines (machine.Config.Workers). 0 uses
-	// the package default (serial unless SetDefaultWorkers was called),
-	// 1 forces serial, -1 uses GOMAXPROCS. Bit-identical to the serial
-	// engines on any mesh (TestDeterminismThreeWay); it pays off once the
-	// mesh is large and busy — use it for ≥ 16-node scenarios.
-	Workers int
-	// RebalanceEvery is the parallel engine's shard-rebalance window in
-	// busy cycles (machine.Config.RebalanceEvery): 0 uses the package
-	// default (the machine default unless SetDefaultRebalance was called),
-	// negative disables rebalancing. Rebalancing redistributes chips
-	// across the worker shards from observed load and never affects
-	// simulated results.
-	RebalanceEvery int64
 	// Timeout is the wall-clock watchdog for supervised execution
 	// (Scenario.Run/RunSim): exceeding it stops the run between cycles
 	// and reports a *guard.StallError. 0 defers to the scenario file's
@@ -98,28 +84,9 @@ type Options struct {
 // under both engines; production code should leave it alone.
 var defaultNaiveEngine bool
 
-// defaultWorkers is the chip-engine worker count applied when
-// Options.Workers is zero; like defaultNaiveEngine it exists so the
-// determinism regressions can force whole experiment harnesses onto the
-// parallel engine.
-var defaultWorkers int
-
-// defaultRebalance is the shard-rebalance window applied when
-// Options.RebalanceEvery is zero, again for the determinism regressions
-// (tiny windows force frequent rebalancing across whole harnesses).
-var defaultRebalance int64
-
 // SetDefaultEngine selects the engine for sims that don't request one
 // explicitly: naive=true forces the reference per-cycle loop.
 func SetDefaultEngine(naive bool) { defaultNaiveEngine = naive }
-
-// SetDefaultWorkers sets the chip-engine worker count for sims that don't
-// request one explicitly (0 restores serial).
-func SetDefaultWorkers(n int) { defaultWorkers = n }
-
-// SetDefaultRebalance sets the shard-rebalance window for sims that don't
-// request one explicitly (0 restores the machine default).
-func SetDefaultRebalance(every int64) { defaultRebalance = every }
 
 // Sim is a booted M-Machine with its runtime installed.
 type Sim struct {
@@ -143,14 +110,6 @@ func NewSim(o Options) (*Sim, error) {
 		cfg.Dims = o.Dims
 	case o.Nodes > 0:
 		cfg.Dims = noc.Coord{X: o.Nodes, Y: 1, Z: 1}
-	}
-	cfg.Workers = o.Workers
-	if cfg.Workers == 0 {
-		cfg.Workers = defaultWorkers
-	}
-	cfg.RebalanceEvery = o.RebalanceEvery
-	if cfg.RebalanceEvery == 0 {
-		cfg.RebalanceEvery = defaultRebalance
 	}
 	m := machine.New(cfg)
 	m.Naive = o.NaiveEngine || defaultNaiveEngine

@@ -3,10 +3,8 @@ package core
 // Determinism regression for the cycle engines: every experiment must
 // produce bit-identical results — cycle counts, register state,
 // statistics, and trace event streams — whether the machine runs the
-// naive per-cycle loop (Machine.StepAll), the fast-forwarding event
-// engine, or the goroutine-sharded parallel engine, under any shard
-// count. See DESIGN.md, "The NextEvent contract" and "The parallel
-// engine".
+// naive per-cycle loop (Machine.StepAll) or the fast-forwarding event
+// engine. See DESIGN.md, "The NextEvent contract".
 
 import (
 	"fmt"
@@ -19,41 +17,24 @@ import (
 	"repro/internal/workload"
 )
 
-// engineMode names one (engine, shard count, rebalance window)
-// configuration.
+// engineMode names one engine configuration.
 type engineMode struct {
-	name      string
-	naive     bool
-	workers   int
-	rebalance int64 // machine.Config.RebalanceEvery (0 = default window)
+	name  string
+	naive bool
 }
 
-// engineModes is the cross-engine matrix: the naive reference, the serial
-// event engine, and the parallel engine at several shard counts (clamped
-// to the node count on small machines, so "parallel8" on a 2-node mesh
-// still exercises the 2-shard pool) and shard-rebalance windows — from
-// disabled to every-8-busy-cycles, so rebalancing points land inside every
-// workload's busy phases.
+// engineModes is the cross-engine matrix: the naive reference and the
+// event engine.
 var engineModes = []engineMode{
-	{"naive", true, 0, 0},
-	{"event", false, 0, 0},
-	{"parallel2", false, 2, -1},
-	{"parallel3", false, 3, 0},
-	{"parallel3/rebal8", false, 3, 8},
-	{"parallel8/rebal64", false, 8, 64},
+	{"naive", true},
+	{"event", false},
 }
 
 // underMode runs f with the package-default engine forced to the mode,
-// restoring the defaults afterwards.
+// restoring the default afterwards.
 func underMode(m engineMode, f func() (string, error)) (string, error) {
 	SetDefaultEngine(m.naive)
-	SetDefaultWorkers(m.workers)
-	SetDefaultRebalance(m.rebalance)
-	defer func() {
-		SetDefaultEngine(false)
-		SetDefaultWorkers(0)
-		SetDefaultRebalance(0)
-	}()
+	defer SetDefaultEngine(false)
 	return f()
 }
 
@@ -293,10 +274,10 @@ loop:
 	}
 }
 
-// TestDeterminismThreeWay is the cross-engine matrix: naive vs event vs
-// parallel (several shard counts) over multiple mesh sizes and workloads,
-// comparing complete state fingerprints including the trace stream.
-func TestDeterminismThreeWay(t *testing.T) {
+// TestDeterminismTwoWay is the cross-engine matrix: naive vs event over
+// multiple mesh sizes and workloads, comparing complete state
+// fingerprints including the trace stream.
+func TestDeterminismTwoWay(t *testing.T) {
 	meshes := []noc.Coord{
 		{X: 2, Y: 1, Z: 1},
 		{X: 2, Y: 2, Z: 1},
@@ -320,7 +301,7 @@ func TestDeterminismThreeWay(t *testing.T) {
 
 // TestDeterminismTraceAndState drives a mixed multi-node workload under
 // every engine and compares the complete observable machine state (the
-// single-scenario ancestor of TestDeterminismThreeWay, kept for its
+// single-scenario ancestor of TestDeterminismTwoWay, kept for its
 // 4-node caching configuration).
 func TestDeterminismTraceAndState(t *testing.T) {
 	workload := func() (string, error) {
@@ -329,13 +310,13 @@ func TestDeterminismTraceAndState(t *testing.T) {
 	allEngines(t, "trace+state", workload)
 }
 
-// TestDeterminismLockstep steps naive, event-engine, and parallel-engine
-// machines in strict lockstep (via Machine.Step, no fast-forward jumps)
-// and asserts identical per-cycle trace streams — the cycle-for-cycle form
-// of the equivalence the fast-forward path then builds on.
+// TestDeterminismLockstep steps naive and event-engine machines in strict
+// lockstep (via Machine.Step, no fast-forward jumps) and asserts identical
+// per-cycle trace streams — the cycle-for-cycle form of the equivalence
+// the fast-forward path then builds on.
 func TestDeterminismLockstep(t *testing.T) {
-	build := func(naive bool, workers int) (*Sim, error) {
-		s, err := NewSim(Options{Nodes: 2, NaiveEngine: naive, Workers: workers})
+	build := func(naive bool) (*Sim, error) {
+		s, err := NewSim(Options{Nodes: 2, NaiveEngine: naive})
 		if err != nil {
 			return nil, err
 		}
@@ -349,39 +330,27 @@ func TestDeterminismLockstep(t *testing.T) {
 `)
 		return s, err
 	}
-	a, err := build(true, 0)
+	a, err := build(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build(false, 0)
+	b, err := build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := build(false, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.M.Close()
 	tr := func(s *Sim) string { return trace.Timeline(s.Recorder.Events) }
 	for i := 0; i < 2000; i++ {
 		a.M.Step()
 		b.M.Step()
-		c.M.Step()
-		if a.M.Cycle != b.M.Cycle || a.M.Cycle != c.M.Cycle {
-			t.Fatalf("cycle skew at step %d: %d vs %d vs %d", i, a.M.Cycle, b.M.Cycle, c.M.Cycle)
+		if a.M.Cycle != b.M.Cycle {
+			t.Fatalf("cycle skew at step %d: %d vs %d", i, a.M.Cycle, b.M.Cycle)
 		}
 	}
 	if tr(a) != tr(b) {
 		t.Fatalf("trace streams diverged:\n--- naive ---\n%s\n--- event ---\n%s", tr(a), tr(b))
 	}
-	if tr(a) != tr(c) {
-		t.Fatalf("trace streams diverged:\n--- naive ---\n%s\n--- parallel ---\n%s", tr(a), tr(c))
-	}
 	if got, want := b.Reg(0, 0, 0, 4), a.Reg(0, 0, 0, 4); got != want {
 		t.Fatalf("final i4: event %d vs naive %d", got, want)
-	}
-	if got, want := c.Reg(0, 0, 0, 4), a.Reg(0, 0, 0, 4); got != want {
-		t.Fatalf("final i4: parallel %d vs naive %d", got, want)
 	}
 }
 

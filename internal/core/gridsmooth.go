@@ -10,7 +10,7 @@ package core
 // node's chunk while the flat shared address space keeps the program
 // unchanged except for its loop bounds. The program generators live in
 // internal/workload (MeshSmooth), shared with the large-mesh scaling
-// experiment, the parallel-engine benchmarks, and examples/bigmesh.
+// experiment, the engine benchmarks, and examples/bigmesh.
 
 import (
 	"fmt"
@@ -109,7 +109,7 @@ func FormatGridSmooth(rows []GridScaleRow) string {
 	return b.String()
 }
 
-// --- E14 (extension): large-mesh scaling under the parallel engine ---
+// --- E14 (extension): large-mesh scaling ---
 
 // MeshScaleRow reports one large-mesh configuration.
 type MeshScaleRow struct {
@@ -120,16 +120,12 @@ type MeshScaleRow struct {
 }
 
 // MeshScaleExperiment runs the smoothing pass over a fixed 2048-element
-// grid on progressively larger 3-D meshes — up to the 4x4x2 and 8x8x2
-// configurations the parallel engine targets — under the parallel chip
-// engine (Workers: -1; on a single-core host this degrades to the serial
-// engine with identical results). Larger meshes also mean a smaller busy
+// grid on progressively larger 3-D meshes, up to 4x4x2 and 8x8x2, under
+// the default event engine. Larger meshes also mean a smaller busy
 // fraction per cycle (the fixed grid spreads thinner), which is the mix
-// the engine's active-set scheduling and shard rebalancing are for (see
-// DESIGN.md, "Active-set scheduling"). Simulated cycle counts are
+// the event engine's idle skipping is for. Simulated cycle counts are
 // host-independent; the point of the sweep is that larger meshes finish
-// the same grid in fewer simulated cycles while the parallel engine keeps
-// host wall-clock per configuration roughly flat.
+// the same grid in fewer simulated cycles.
 func MeshScaleExperiment() ([]MeshScaleRow, error) {
 	const total = 2048
 	dims := []noc.Coord{
@@ -146,7 +142,7 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 		if err != nil {
 			return err
 		}
-		cycles, err := runMeshSmooth(Options{Dims: d, Workers: -1}, g)
+		cycles, err := runMeshSmooth(Options{Dims: d}, g)
 		if err != nil {
 			return fmt.Errorf("mesh smooth on %v: %w", d, err)
 		}
@@ -166,7 +162,7 @@ func MeshScaleExperiment() ([]MeshScaleRow, error) {
 // FormatMeshScale renders the large-mesh scaling table.
 func FormatMeshScale(rows []MeshScaleRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "2048-element grid smoothing on 3-D meshes (parallel chip engine)\n")
+	fmt.Fprintf(&b, "2048-element grid smoothing on 3-D meshes\n")
 	fmt.Fprintf(&b, "%-8s %6s %10s %9s\n", "mesh", "nodes", "cycles", "speedup")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%dx%dx%d   %6d %10d %8.2fx\n",

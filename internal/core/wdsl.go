@@ -97,7 +97,7 @@ func machineDigest(m *machine.Machine) (string, error) {
 
 // Run boots a machine per the scenario's mesh/caching declarations and
 // executes the plan. The caller's Options may select the engine
-// (NaiveEngine, Workers, RebalanceEvery) and tracing-related settings;
+// (NaiveEngine) and tracing-related settings;
 // the mesh dimensions and caching mode always come from the scenario
 // file. Expect/check failures are returned as errors naming the step's
 // source position.

@@ -74,8 +74,8 @@ func scenarioFingerprint(t *testing.T, file string) (string, error) {
 
 // TestDSLMatchesHandWritten pins the DSL re-expressions of the three
 // hand-written workloads to the generator-driven harness code: identical
-// cycle counts and machine statistics under the naive, event, and
-// parallel engines. This extends the determinism matrix to DSL legs —
+// cycle counts and machine statistics under the naive and event
+// engines. This extends the determinism matrix to DSL legs —
 // the DSL must be a notation, not a different workload.
 func TestDSLMatchesHandWritten(t *testing.T) {
 	cases := []struct {

@@ -2,8 +2,8 @@ package dist
 
 // The determinism matrix: every scenario must produce bit-identical
 // results — cycle counts, check outcomes, trace streams, and the sha256
-// digest of the final machine snapshot — on the naive, event, parallel,
-// and distributed engines, for every shard count, including distributed
+// digest of the final machine snapshot — on the naive, event, and
+// distributed engines, for every shard count, including distributed
 // runs that lose and recover workers mid-flight.
 
 import (
@@ -96,9 +96,8 @@ func TestDistDeterminismMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sc := loadScenario(t, name)
 			engines := map[string]core.Options{
-				"naive":    {NaiveEngine: true},
-				"event":    {},
-				"parallel": {Workers: 4},
+				"naive": {NaiveEngine: true},
+				"event": {},
 			}
 			refs := map[string]refOutcome{}
 			for eng, o := range engines {

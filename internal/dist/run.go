@@ -44,10 +44,9 @@ func RunScenario(sc *core.Scenario, o core.Options, cfg Config) (*RunResult, *co
 		// can't follow a fork. Run sweeps in-process (Scenario.Run).
 		return nil, nil, errors.New("dist: sweep scenarios are not supported on the distributed engine")
 	}
-	// The hub's chips never step; force the serial in-process engine so
-	// no worker pool spins up under a machine used only as a state store.
+	// The hub's chips never step; it is only a state store, so pin the
+	// default engine regardless of the caller's choice.
 	o.NaiveEngine = false
-	o.Workers = 0
 	s, err := sc.NewSim(o)
 	if err != nil {
 		return nil, nil, err

@@ -216,7 +216,6 @@ func (w *worker) seed(snapshot []byte) error {
 	// no hook.
 	for i := w.spec.Lo; i < w.spec.Hi; i++ {
 		c := w.m.Chips[i]
-		c.BufferTrace = false
 		node := i
 		c.Trace = func(cycle int64, _ int, event, detail string) {
 			w.traceBuf = append(w.traceBuf, traceEvent{Cycle: cycle, Node: node, Event: event, Detail: detail})

@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic fault-injection harness for
 // supervised runs (DESIGN.md, "Supervised runs & fault injection"). It
-// manufactures the failures internal/guard exists to contain — worker
-// panics at a chosen (chip, cycle), wall-clock stalls, wedged workers,
+// manufactures the failures internal/guard exists to contain — chip
+// panics at a chosen (chip, cycle), wall-clock stalls, wedged runs,
 // corrupted snapshot streams — as reproducible, seedable artifacts, so
 // the containment paths are exercised by ordinary tests and the
 // `mbench -faults` soak leg instead of waiting for a real crash.
@@ -10,8 +10,8 @@
 //
 //   - Execution faults are machine fault probes (Machine.SetFaultProbe):
 //     pure functions of (node, cycle), so a fault fires at the identical
-//     simulation point under every engine — serial, event-driven, or any
-//     parallel shard layout — and a test can assert the exact crash site
+//     simulation point under every engine — naive or event-driven — and
+//     a test can assert the exact crash site
 //     the guard reports. PanicAt raises an *InjectedPanic (which carries
 //     its own crash site); StallAt burns wall-clock time to trip timeout
 //     watchdogs without touching simulated state; BlockUntil wedges the
@@ -45,8 +45,7 @@ func (p *InjectedPanic) Error() string {
 func (p *InjectedPanic) CrashSite() (node int, cycle int64) { return p.Node, p.Cycle }
 
 // Probe is a machine fault probe (the Machine.SetFaultProbe signature):
-// called immediately before a chip steps, possibly concurrently for
-// distinct nodes under the parallel engine.
+// called immediately before a chip steps.
 type Probe func(node int, cycle int64)
 
 // PanicAt returns a probe that panics with an *InjectedPanic the first

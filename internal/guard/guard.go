@@ -9,10 +9,9 @@
 //
 // A Supervisor provides, in one Do call:
 //
-//   - Panic containment. Panics out of the supervised function — serial
-//     engine steps, scenario staging, and (via machine.WorkerPanic)
-//     parallel worker goroutines — are recovered and converted to a
-//     *CrashError carrying the panic value, the deep stack captured at
+//   - Panic containment. Panics out of the supervised function — engine
+//     steps, fault probes, and scenario staging — are recovered and
+//     converted to a *CrashError carrying the panic value, the deep stack captured at
 //     the panic site, and the offending (node, cycle). A panic never
 //     crosses the Supervisor boundary.
 //
@@ -34,7 +33,7 @@
 //     `msim -restore` and replayed under any engine.
 //
 // If the run does not respond to the stop request within Options.Grace —
-// a worker wedged inside a cycle, not a livelocked simulation — Do gives
+// a run wedged inside a cycle, not a livelocked simulation — Do gives
 // up waiting and returns a *StallError with Kind StallHang. The run
 // goroutine still owns the machine in that case, so no snapshot is
 // written and the machine must be abandoned (see IsHang).
@@ -151,8 +150,8 @@ func (e *StallError) Unwrap() error {
 }
 
 // CrashError reports a contained panic: the panic value, the goroutine
-// stack captured at the panic site (worker-side for parallel-engine
-// crashes), and the offending chip and cycle when they are known.
+// stack captured at the panic site, and the offending chip and cycle when
+// they are known.
 type CrashError struct {
 	Value any    // the original panic value
 	Stack []byte // stack at the panic site
@@ -173,7 +172,7 @@ func (e *CrashError) Error() string {
 }
 
 // crashSite is implemented by panic values that know which chip and
-// cycle they struck (machine.WorkerPanic, faultinject.InjectedPanic).
+// cycle they struck (faultinject.InjectedPanic).
 type crashSite interface {
 	CrashSite() (node int, cycle int64)
 }
@@ -247,9 +246,8 @@ func (s *Supervisor) Do(fn func() error) error {
 		defer func() {
 			if v := recover(); v != nil {
 				// The stack here still includes the panicking frames —
-				// recover runs before the unwind completes — so serial
-				// engine crashes get full depth; parallel crashes carry
-				// their own worker-side stack in the WorkerPanic.
+				// recover runs before the unwind completes — so engine
+				// crashes get full depth.
 				done <- outcome{panicVal: v, stack: debug.Stack()}
 			}
 		}()
@@ -355,14 +353,6 @@ func (s *Supervisor) classify(o outcome, timedOut bool, elapsed time.Duration) e
 		ce := &CrashError{Value: o.panicVal, Stack: o.stack, Cycle: m.Cycle, Node: -1}
 		if cs, ok := o.panicVal.(crashSite); ok {
 			ce.Node, ce.Cycle = cs.CrashSite()
-		}
-		if wp, ok := o.panicVal.(*machine.WorkerPanic); ok {
-			// Unwrap to the original panic value; prefer the worker-side
-			// stack, which reaches the true panic site.
-			ce.Value = wp.Value
-			if len(wp.Stack) > 0 {
-				ce.Stack = wp.Stack
-			}
 		}
 		ce.Diagnostic = Diagnose(m)
 		ce.DumpPath = s.writeDump(&ce.Diagnostic)

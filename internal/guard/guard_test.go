@@ -19,12 +19,11 @@ import (
 )
 
 // newM builds an n-node x-axis machine with the runtime installed, node i
-// homing virtual words [i*4096, (i+1)*4096), under the requested engine.
-func newM(t *testing.T, nodes, workers int) *machine.Machine {
+// homing virtual words [i*4096, (i+1)*4096), under the event engine.
+func newM(t *testing.T, nodes int) *machine.Machine {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = workers
 	m := machine.New(cfg)
 	t.Cleanup(m.Close)
 	if _, err := rt.Install(m, rt.Options{}); err != nil {
@@ -85,7 +84,7 @@ func (p injected) String() string          { return fmt.Sprintf("injected fault 
 // TestSupervisedBitIdentical: supervision with watchdogs armed must not
 // perturb the simulation — same cycles, same results as a bare Run.
 func TestSupervisedBitIdentical(t *testing.T) {
-	bare := newM(t, 2, 0)
+	bare := newM(t, 2)
 	load(t, bare, 0, countSrc(300))
 	load(t, bare, 1, countSrc(150))
 	wantCycles, err := bare.Run(100000)
@@ -94,7 +93,7 @@ func TestSupervisedBitIdentical(t *testing.T) {
 	}
 	want0, want1 := finalCount(bare, 0), finalCount(bare, 1)
 
-	m := newM(t, 2, 0)
+	m := newM(t, 2)
 	load(t, m, 0, countSrc(300))
 	load(t, m, 1, countSrc(150))
 	s := guard.New(m, guard.Options{Timeout: 30 * time.Second, CycleBudget: 1 << 40})
@@ -111,7 +110,7 @@ func TestSupervisedBitIdentical(t *testing.T) {
 // TestPanicContainedSerial: a probe panic under the serial engine becomes
 // a *CrashError with the panic value and site preserved; no panic escapes.
 func TestPanicContainedSerial(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 100 {
@@ -141,46 +140,10 @@ func TestPanicContainedSerial(t *testing.T) {
 	}
 }
 
-// TestPanicContainedParallel: a worker-goroutine panic under the parallel
-// engine is recovered on the worker, re-raised after the gather barrier,
-// and surfaces as the same *CrashError shape — with the worker-side stack
-// and the original panic value unwrapped from machine.WorkerPanic.
-func TestPanicContainedParallel(t *testing.T) {
-	m := newM(t, 6, 3)
-	for i := 0; i < 6; i++ {
-		load(t, m, i, spinSrc)
-	}
-	m.SetFaultProbe(func(node int, cycle int64) {
-		if node == 4 && cycle == 150 {
-			panic(injected{node: node, cycle: cycle})
-		}
-	})
-	s := guard.New(m, guard.Options{})
-	_, err := s.Run(1 << 40)
-	var ce *guard.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CrashError, got %v", err)
-	}
-	if ce.Node != 4 || ce.Cycle != 150 {
-		t.Fatalf("crash site = node %d cycle %d, want node 4 cycle 150", ce.Node, ce.Cycle)
-	}
-	if _, ok := ce.Value.(injected); !ok {
-		t.Fatalf("panic value not unwrapped from WorkerPanic: %#v", ce.Value)
-	}
-	if !bytes.Contains(ce.Stack, []byte("runShard")) {
-		t.Fatal("stack is not the worker-side stack")
-	}
-	// The pool is poisoned: further runs re-raise as contained errors, not
-	// process-killing panics.
-	if _, err := s.Run(10); err == nil {
-		t.Fatal("second run on a crashed pool succeeded")
-	}
-}
-
 // TestWatchdogTimeout: a livelocked run is stopped at a cycle boundary,
 // classified StallTimeout, and leaves a reusable, consistent machine.
 func TestWatchdogTimeout(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{Timeout: 50 * time.Millisecond})
 	_, err := s.Run(1 << 40)
@@ -209,7 +172,7 @@ func TestWatchdogTimeout(t *testing.T) {
 // TestContextCancel: a canceled caller context stops the run like a
 // deadline does.
 func TestContextCancel(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -228,7 +191,7 @@ func TestContextCancel(t *testing.T) {
 // simulation, not the host — two runs stop at the identical cycle.
 func TestCycleBudgetDeterministic(t *testing.T) {
 	stopAt := func() int64 {
-		m := newM(t, 2, 0)
+		m := newM(t, 2)
 		load(t, m, 0, spinSrc)
 		load(t, m, 1, spinSrc)
 		s := guard.New(m, guard.Options{CycleBudget: 3000})
@@ -253,7 +216,7 @@ func TestCycleBudgetDeterministic(t *testing.T) {
 // TestBudgetSpansPhases: the budget is per Do, not per RunPhase — legs
 // share it.
 func TestBudgetSpansPhases(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	s := guard.New(m, guard.Options{CycleBudget: 1000})
 	err := s.Do(func() error {
@@ -275,7 +238,7 @@ func TestBudgetSpansPhases(t *testing.T) {
 // TestHangAbandon: a run that never reaches a sync point is declared
 // wedged after the grace period; the machine must then be abandoned.
 func TestHangAbandon(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	release := make(chan struct{})
 	s := guard.New(m, guard.Options{Timeout: 10 * time.Millisecond, Grace: 30 * time.Millisecond})
 	err := s.Do(func() error {
@@ -297,7 +260,7 @@ func TestHangAbandon(t *testing.T) {
 // is a loadable snapshot, and (serial engine, probe firing before the
 // step) resuming it completes with exactly the uncrashed result.
 func TestCrashDumpRestoreResume(t *testing.T) {
-	bare := newM(t, 1, 0)
+	bare := newM(t, 1)
 	load(t, bare, 0, countSrc(200))
 	if _, err := bare.Run(100000); err != nil {
 		t.Fatal(err)
@@ -306,7 +269,7 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 	want := finalCount(bare, 0)
 
 	dump := filepath.Join(t.TempDir(), "crash.msnap")
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, countSrc(200))
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 50 {
@@ -328,7 +291,7 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r := newM(t, 1, 0)
+	r := newM(t, 1)
 	if err := r.Restore(f); err != nil {
 		t.Fatalf("crash dump does not restore: %v", err)
 	}
@@ -351,9 +314,14 @@ func TestCrashDumpRestoreResume(t *testing.T) {
 // pinned here for both engines: the stop lands at an unpredictable cycle
 // (it races the wall clock), yet the saved state must be exact.
 func TestWatchdogStopSaveRestoreResume(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			m := newM(t, 3, workers)
+	for _, naive := range []bool{false, true} {
+		name := "event"
+		if naive {
+			name = "naive"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := newM(t, 3)
+			m.Naive = naive
 			for i := 0; i < 3; i++ {
 				load(t, m, i, spinSrc)
 			}
@@ -370,7 +338,8 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 				t.Fatalf("Save after watchdog stop: %v", err)
 			}
 			stopCycle := m.Cycle
-			r := newM(t, 3, workers)
+			r := newM(t, 3)
+			r.Naive = naive
 			if err := r.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 				t.Fatalf("Restore of watchdog-stop snapshot: %v", err)
 			}
@@ -408,7 +377,7 @@ func TestWatchdogStopSaveRestoreResume(t *testing.T) {
 // TestDumpFailureDoesNotMask: an unwritable dump path degrades to a note
 // in the diagnostic; the primary error class is unchanged.
 func TestDumpFailureDoesNotMask(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	load(t, m, 0, spinSrc)
 	m.SetFaultProbe(func(node int, cycle int64) {
 		if cycle == 10 {
@@ -433,7 +402,7 @@ func TestDumpFailureDoesNotMask(t *testing.T) {
 // returned verbatim — supervision adds nothing to the success/plain-error
 // paths.
 func TestErrorsPassThrough(t *testing.T) {
-	m := newM(t, 1, 0)
+	m := newM(t, 1)
 	s := guard.New(m, guard.Options{Timeout: time.Second})
 	sentinel := errors.New("scenario failed")
 	if err := s.Do(func() error { return sentinel }); err != sentinel {

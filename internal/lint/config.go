@@ -52,10 +52,9 @@ var wallClockAllowed = []string{
 
 // goAllowed is the allowlist of package paths where spawning goroutines
 // is legitimate wholesale: guard monitors, serve's worker pool and
-// HTTP plumbing, dist's launch/heartbeat/supervision. The machine
-// worker pool and core's experiment fan-out are NOT allowlisted — those
-// two sites carry individual //mlint:allow annotations, so any new
-// goroutine near them still has to justify itself.
+// HTTP plumbing, dist's launch/heartbeat/supervision. core's experiment
+// fan-out is NOT allowlisted — it carries an individual //mlint:allow
+// annotation, so any new goroutine near it still has to justify itself.
 var goAllowed = []string{
 	"repro/internal/dist",
 	"repro/internal/guard",

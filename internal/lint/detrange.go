@@ -4,7 +4,7 @@ package lint
 // reach simulated state (DESIGN.md, "Determinism and arbitration
 // order"). Go randomizes map iteration per run and select picks a
 // ready case pseudo-randomly, so either one on a simulation path makes
-// naive/event/parallel/dist runs diverge bit-for-bit.
+// naive/event/dist runs diverge bit-for-bit.
 //
 // One idiom is recognized as deterministic without annotation: a range
 // whose body only collects the keys into a slice that is then passed to

@@ -167,10 +167,6 @@ func TestShadowFixture(t *testing.T) {
 	runFixture(t, "shadow", "repro/internal/chip/shfix", lint.Shadow)
 }
 
-func TestCopyLocksFixture(t *testing.T) {
-	runFixture(t, "copylocks", "repro/internal/chip/clfix", lint.CopyLocks)
-}
-
 func TestNilnessFixture(t *testing.T) {
 	runFixture(t, "nilness", "repro/internal/chip/nilfix", lint.Nilness)
 }

@@ -7,8 +7,8 @@ package lint
 //
 // or, on its own line, covering the line below:
 //
-//	//mlint:allow gocheck worker pool goroutines park at the barrier
-//	go p.worker(w)
+//	//mlint:allow gocheck experiment fan-out: each goroutine owns a whole machine
+//	go func() { ... }()
 //
 // The reason is mandatory — an allow without one is itself a
 // diagnostic — and `mlint -suppressions` lists every directive (and

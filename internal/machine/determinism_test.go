@@ -65,128 +65,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// runMigrating boots an n-node machine under the given engine
-// configuration and runs a workload whose busy region migrates across the
-// mesh: node i first serializes through i*4 dependent remote loads from
-// its successor's home range (mostly stall cycles), then runs a hot
-// arithmetic burst, so activity sweeps from node 0 towards node n-1 over
-// time — the pattern that defeats static contiguous shards. It returns a
-// fingerprint of the complete observable state (cycle count, the full
-// trace stream, per-chip issue and stall statistics — the numbers the
-// deferred SkipCycles batching must replay exactly) plus the machine's
-// rebalance count.
-func runMigrating(t *testing.T, workers int, rebalanceEvery int64) (string, int64) {
-	t.Helper()
-	const nodes = 8
-	cfg := machine.DefaultConfig()
-	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = workers
-	cfg.RebalanceEvery = rebalanceEvery
-	m := machine.New(cfg)
-	defer m.Close()
-	if _, err := rt.Install(m, rt.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nodes; i++ {
-		if err := m.MapNodeRange(uint64(i)*4096, 4, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var trace strings.Builder
-	m.SetTrace(func(cycle int64, node int, event, detail string) {
-		fmt.Fprintf(&trace, "%d %d %s %s\n", cycle, node, event, detail)
-	})
-	for i := 0; i < nodes; i++ {
-		succ := (i + 1) % nodes
-		loadUser(t, m, i, 0, 0, fmt.Sprintf(`
-    movi i1, #%d            ; successor home range (remote loads)
-    movi i2, #0
-    movi i3, #%d            ; staggered delay: i*4 dependent remote loads
-dly:
-    lt i7, i2, i3
-    brf i7, burst
-    ld i4, [i1]
-    add i2, i2, #1
-    add i1, i1, #1
-    add i6, i6, i4          ; depend on the load so the thread stalls
-    br dly
-burst:
-    movi i5, #0
-    movi i6, #%d            ; hot burst length
-spin:
-    add i5, i5, #1
-    lt i7, i5, i6
-    brt i7, spin
-    halt
-`, succ*4096+256, i*4, 300+40*i))
-	}
-	cycles, err := m.Run(2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "cycles=%d end=%d net=%d/%d/%d\n",
-		cycles, m.Cycle, m.Net.Injected, m.Net.Delivered, m.Net.TotalHops)
-	for i := 0; i < nodes; i++ {
-		c := m.Chip(i)
-		th := c.Thread(0, 0)
-		fmt.Fprintf(&b, "node%d insts=%d ops=%d stalls=%d i5=%d i6=%d\n",
-			i, c.InstsIssued, c.OpsIssued, th.StallCycles,
-			reg(m, i, 0, 0, 5), reg(m, i, 0, 0, 6))
-	}
-	b.WriteString(trace.String())
-	return b.String(), m.Rebalances()
-}
-
-// TestDeterminismRebalance holds the parallel engine to the serial event
-// engine's bit-identical standard while the busy region migrates across
-// shard-rebalance intervals: every worker count x window combination must
-// reproduce the serial trace stream, statistics (including the stall
-// counters the deferred SkipCycles batching replays), and cycle count
-// exactly — and the aggressive windows must actually rebalance, proving
-// the re-partition path ran.
-func TestDeterminismRebalance(t *testing.T) {
-	ref, _ := runMigrating(t, 0, 0) // serial event engine
-	configs := []struct {
-		workers int
-		every   int64
-		mustReb bool // aggressive enough that rebalancing must trigger
-	}{
-		{2, -1, false}, // rebalancing disabled
-		{2, 4, true},
-		{3, 16, true},
-		{4, 8, true},
-		{8, 64, false}, // one chip per shard: stays balanced by construction
-	}
-	for _, c := range configs {
-		name := fmt.Sprintf("workers%d/every%d", c.workers, c.every)
-		got, rebalances := runMigrating(t, c.workers, c.every)
-		if got != ref {
-			t.Errorf("%s diverged from the serial engine:\n--- serial ---\n%.2000s\n--- %s ---\n%.2000s",
-				name, ref, name, got)
-		}
-		if c.mustReb && rebalances == 0 {
-			t.Errorf("%s: migrating workload never rebalanced", name)
-		}
-		if !c.mustReb && c.every < 0 && rebalances != 0 {
-			t.Errorf("%s: rebalanced %d times with rebalancing disabled", name, rebalances)
-		}
-	}
-}
-
 // TestDeterminismMixedEngines interleaves the naive reference engine with
-// the parallel event engine on one machine — every cycle sequence must
-// still match a pure event-engine run bit for bit. This pins the StepAll
-// cache repair: a forced naive step can lower a chip's wake internally
-// (consuming a delivered message) without firing the wake hook, so StepAll
-// must re-mark chips due and ingest deliveries into the arrival set, or
-// the next parallel step leaves a runnable chip asleep.
+// the event engine on one machine — every cycle sequence must still match
+// a pure event-engine run bit for bit. This pins the StepAll arrival
+// bookkeeping: a forced naive step must ingest its deliveries into the
+// tracked arrival set, or the next event step leaves a runnable chip
+// asleep.
 func TestDeterminismMixedEngines(t *testing.T) {
-	build := func(workers int) (*machine.Machine, *strings.Builder) {
+	build := func() (*machine.Machine, *strings.Builder) {
 		const nodes = 4
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-		cfg.Workers = workers
 		m := machine.New(cfg)
 		if _, err := rt.Install(m, rt.Options{}); err != nil {
 			t.Fatal(err)
@@ -218,16 +107,14 @@ loop:
 		m.WakeAll()
 		return m, &trace
 	}
-	ref, refTrace := build(0) // pure serial event engine
-	mix, mixTrace := build(2) // parallel engine, naive phases interleaved
-	defer mix.Close()
+	ref, refTrace := build() // pure event engine
+	mix, mixTrace := build() // event engine, naive phases interleaved
 	const cycles = 6000
 	for i := 0; i < cycles; i++ {
 		ref.Step()
 		mix.Naive = (i/5)%2 == 1 // flip engines every 5 cycles
 		mix.Step()
 	}
-	mix.Close() // materialize deferred idle bookkeeping
 	if refTrace.String() != mixTrace.String() {
 		t.Errorf("trace streams diverged between pure and mixed engine runs")
 	}
@@ -241,36 +128,5 @@ loop:
 	}
 	if got, want := reg(mix, 0, 0, 0, 2), reg(ref, 0, 0, 0, 2); got != want {
 		t.Errorf("final i2: mixed %d vs pure %d", got, want)
-	}
-}
-
-// TestStepAfterClosePanics: stepping the parallel engine after Close used
-// to deadlock silently on the stopped worker pool; it must panic with a
-// clear message instead — whether or not the pool had ever started (a
-// Close before the first parallel step must not let the lazy pool path
-// resurrect worker goroutines on a closed machine).
-func TestStepAfterClosePanics(t *testing.T) {
-	for _, stepsBeforeClose := range []int{4, 0} {
-		t.Run(fmt.Sprintf("steps%d", stepsBeforeClose), func(t *testing.T) {
-			cfg := machine.DefaultConfig()
-			cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-			cfg.Workers = 2
-			m := machine.New(cfg)
-			loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
-			for i := 0; i < stepsBeforeClose; i++ {
-				m.Step()
-			}
-			m.Close()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("Step after Close did not panic")
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, "after Close") {
-					t.Fatalf("unexpected panic message: %v", msg)
-				}
-			}()
-			m.Step()
-		})
 	}
 }

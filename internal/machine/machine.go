@@ -3,12 +3,10 @@
 // cycle loop that advances every node and the network in lock step.
 //
 // The lifecycle is New(Config) -> load programs / map pages -> Run (or
-// Step/StepAll/RunUntil) -> Close. Three engines execute the cycle loop
-// — the naive per-cycle reference (Naive=true / StepAll), the default
-// event-driven engine with idle fast-forward, and the goroutine-sharded
-// parallel engine (Config.Workers) — and they are bit-identical in every
-// observable way; see DESIGN.md ("The cycle engine", "The parallel
-// engine").
+// Step/StepAll/RunUntil) -> Close. Two engines execute the cycle loop —
+// the naive per-cycle reference (Naive=true / StepAll) and the default
+// event-driven engine with idle fast-forward — and they are bit-identical
+// in every observable way; see DESIGN.md ("The cycle engine").
 //
 // Machines checkpoint: Save serializes the complete simulation state to
 // a versioned stream, Restore replaces a compatible machine's state
@@ -22,7 +20,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -55,23 +52,6 @@ const NoEvent = chip.NoEvent
 type Config struct {
 	Dims noc.Coord // mesh dimensions
 	Chip chip.Config
-
-	// Workers selects the parallel chip engine: the chip phase of each busy
-	// cycle is sharded across this many persistent worker goroutines with a
-	// barrier per cycle (see DESIGN.md, "The parallel engine"). 0 or 1 runs
-	// the chip phase serially; -1 uses runtime.GOMAXPROCS(0); values above
-	// the node count are clamped. The parallel engine is bit-identical to
-	// the serial event engine (enforced by TestDeterminismThreeWay in core)
-	// and is ignored under the naive reference engine and by RunUntil.
-	Workers int `snap:"derived,engine selection, never affects simulated results"`
-
-	// RebalanceEvery is the parallel engine's shard-rebalance window, in
-	// dispatched busy cycles: after each window the pool re-draws shard
-	// boundaries when the observed per-shard work is imbalanced (see
-	// DESIGN.md, "Active-set scheduling"). 0 selects the default window;
-	// negative disables rebalancing. Rebalancing never affects simulated
-	// results — only which worker steps which chip.
-	RebalanceEvery int64 `snap:"derived,engine tuning, never affects simulated results"`
 }
 
 // DefaultConfig returns a 2x1x1 machine (the two-node setup of the paper's
@@ -100,13 +80,6 @@ type Machine struct {
 	// nextPPN allocates physical pages per node for MapLocal; runtime
 	// handlers allocate from a separate high region (see AllocBase).
 	nextPPN []uint64
-
-	// workers is the normalized Config.Workers (>= 2 means the parallel
-	// chip engine is active); pool is its lazily started goroutine pool,
-	// and closed records Close so a later Step cannot resurrect it.
-	workers int       `snap:"derived,normalized engine config"`
-	pool    *chipPool `snap:"derived,goroutine pool, rebuilt lazily"`
-	closed  bool      `snap:"derived,process-lifetime flag"`
 
 	// Supervision plumbing (DESIGN.md, "Supervised runs & fault
 	// injection"). runMu serializes Run/RunUntil against Close, so a
@@ -189,53 +162,29 @@ func New(cfg Config) *Machine {
 		chipBusy:    make([]bool, net.NumNodes()),
 		chipIssued:  make([]uint64, net.NumNodes()),
 	}
-	m.workers = cfg.Workers
-	if m.workers < 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	if m.workers > len(m.Chips) {
-		m.workers = len(m.Chips)
-	}
 	for i := range m.Chips {
 		c := chip.New(cfg.Chip, net.CoordOf(i), i, net, gdt)
 		// Initialize the runtime page allocator counter.
 		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
-		// Under the parallel engine trace events are buffered per chip and
-		// flushed in node order so the shared callback never runs
-		// concurrently (and the stream order matches the serial engines).
-		c.BufferTrace = m.workers >= 2
 		m.Chips[i] = c
 		m.nextPPN[i] = FirstMapPPN
 	}
 	return m
 }
 
-// Close stops the parallel engine's worker goroutines, if any were started,
-// after materializing any deferred idle-chip bookkeeping (see step). It is
-// optional: an unreachable Machine releases the workers via a GC cleanup.
-// Close is idempotent — a second Close (including one racing the GC
-// cleanup after a finished Run) is a harmless no-op — and safe to call
-// concurrently with an in-flight Run or RunUntil: it raises the stop
-// request, waits for the run to observe it at its next loop head and
-// return ErrStopped, and only then tears the pool down (the shutdown
-// ordering a session server needs). The machine must not be stepped after
-// Close — the parallel chip phase panics if it is.
+// Close ends the machine's session. It is safe to call concurrently with
+// an in-flight Run or RunUntil: it raises the stop request, waits for the
+// run to observe it at its next loop head and return ErrStopped, and
+// returns once no run holds the machine (the shutdown ordering a session
+// server needs). Close is idempotent and optional; a machine holds no
+// goroutines or other resources that outlive it.
 func (m *Machine) Close() {
 	m.stopReq.Store(true)
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	// The request has served its purpose once the lock is held; do not
-	// poison a caller who (historically legal on serial machines) runs
-	// again after Close.
+	// poison a caller who runs again after Close.
 	m.stopReq.Store(false)
-	if m.closed {
-		return
-	}
-	m.closed = true
-	if m.pool != nil {
-		m.pool.sync(m.Cycle)
-		m.pool.stop()
-	}
 }
 
 // RequestStop asks an in-flight Run or RunUntil to return at its next
@@ -261,19 +210,12 @@ func (m *Machine) CycleGauge() int64 { return m.cycleGauge.Load() }
 
 // SetFaultProbe installs fn to be called immediately before every chip
 // step, with the chip's node index and the current cycle — the
-// fault-injection hook (see internal/faultinject). Under the parallel
-// engine the probe runs on worker goroutines, concurrently for distinct
-// nodes, so fn must be safe for that; a panic out of fn is contained
-// exactly like a panic out of the chip step itself. Install probes only
-// between runs (the same contract as program loads); nil removes the
-// probe. Probes are for tests and fault drills — the nil check they cost
-// per stepped chip is the entire production overhead.
-func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) {
-	m.probe = fn
-	if m.pool != nil {
-		m.pool.probe = fn
-	}
-}
+// fault-injection hook (see internal/faultinject). A panic out of fn is
+// contained exactly like a panic out of the chip step itself. Install
+// probes only between runs (the same contract as program loads); nil
+// removes the probe. Probes are for tests and fault drills — the nil check
+// they cost per stepped chip is the entire production overhead.
+func (m *Machine) SetFaultProbe(fn func(node int, cycle int64)) { m.probe = fn }
 
 // NumNodes returns the node count.
 func (m *Machine) NumNodes() int { return len(m.Chips) }
@@ -283,18 +225,11 @@ func (m *Machine) Chip(i int) *chip.Chip { return m.Chips[i] }
 
 // StepAll advances the whole machine one cycle the naive way: every chip
 // and the network step unconditionally. This is the reference (debug)
-// engine the event-driven Step is validated against. When a parallel pool
-// is alive (the engines may be interleaved on one machine), StepAll also
-// keeps the event-engine caches honest: a forced Step can lower a chip's
-// wake internally (e.g. by consuming a delivered message) without firing
-// the wake hook, so every chip is re-marked due for the next cycle — the
-// safe, possibly-early direction of the due-cache invariant — and the
-// tracked arrival set ingests this cycle's deliveries.
+// engine the event-driven Step is validated against. The engines may be
+// interleaved on one machine, so StepAll also keeps the tracked arrival
+// set fed with this cycle's deliveries.
 func (m *Machine) StepAll() {
 	now := m.Cycle
-	if m.pool != nil {
-		m.pool.sync(now)
-	}
 	for i, c := range m.Chips {
 		if m.probe != nil {
 			m.probe(i, now)
@@ -306,9 +241,6 @@ func (m *Machine) StepAll() {
 		m.noteStepped(i)
 	}
 	m.Net.Step(now)
-	if m.pool != nil {
-		m.pool.wakeAllAt(now + 1)
-	}
 	// The wakes are unobservable under naive stepping (only the event
 	// engines consult wake cycles), so this costs nothing but keeps the
 	// arrival set exact for a later event-engine step.
@@ -319,73 +251,30 @@ func (m *Machine) StepAll() {
 // Step advances the whole machine one cycle. The event-driven engine steps
 // only the chips whose NextEvent is due; a skipped chip replays its idle
 // stat side effects via SkipCycles, so observable state evolves exactly as
-// under StepAll. The network walk runs only when a message can move. With
-// Config.Workers >= 2 the chip phase runs sharded on the worker pool under
-// active-set scheduling: chips that are not due are not touched at all —
-// their per-cycle idle bookkeeping is deferred and replayed in one batch
-// when they next become due, or at the next sync point (Run returning,
-// RunUntil, StepAll, Close), so every externally observed state is
-// bit-identical to the serial engines'.
-func (m *Machine) Step() { m.step(m.workers >= 2) }
-
-// step is Step with an explicit engine choice for the chip phase; RunUntil
-// forces the serial phase so tight per-cycle predicate loops don't pay the
-// parallel barrier.
-func (m *Machine) step(parallel bool) {
+// under StepAll. The network walk runs only when a message can move.
+func (m *Machine) Step() {
 	if m.Naive {
 		m.StepAll()
 		return
 	}
 	now := m.Cycle
-	if parallel {
-		if m.pool == nil {
-			if m.closed {
-				// Without this, a Close before the first parallel step would
-				// let the lazy path resurrect a worker pool on a closed
-				// machine instead of tripping the pool's own panic.
-				panic("machine: parallel chip phase stepped after Close (do not call Step after Machine.Close)")
+	stepped := m.steppedBuf[:0]
+	for i, c := range m.Chips {
+		if c.NextEvent(now) <= now {
+			if m.probe != nil {
+				m.probe(i, now)
 			}
-			m.pool = newChipPool(m.Chips, m.workers, m.Cfg.RebalanceEvery)
-			m.pool.probe = m.probe
-			// Backstop for machines that are never Closed (the experiment
-			// harnesses build thousands): release the workers when the
-			// machine becomes unreachable. The cleanup must not capture m.
-			runtime.AddCleanup(m, func(p *chipPool) { p.stop() }, m.pool)
+			c.Step(now)
+			stepped = append(stepped, i)
+		} else {
+			c.SkipCycles(1)
 		}
-		m.pool.step(now)
-		// Only chips that stepped can have buffered output; drain exactly
-		// those, in node-index order.
-		m.pool.drainOutput(now)
-		for i := range m.pool.shards {
-			for _, node := range m.pool.shards[i].stepped {
-				m.noteStepped(int(node))
-			}
-		}
-	} else {
-		// Entering the serial chip phase with a pool alive: materialize any
-		// idle bookkeeping the active-set scheduler deferred, so Step's
-		// per-chip cycle invariant holds.
-		if m.pool != nil {
-			m.pool.sync(now)
-		}
-		stepped := m.steppedBuf[:0]
-		for i, c := range m.Chips {
-			if c.NextEvent(now) <= now {
-				if m.probe != nil {
-					m.probe(i, now)
-				}
-				c.Step(now)
-				stepped = append(stepped, i)
-			} else {
-				c.SkipCycles(1)
-			}
-		}
-		m.drainChipOutput(now)
-		for _, i := range stepped {
-			m.noteStepped(i)
-		}
-		m.steppedBuf = stepped
 	}
+	m.drainChipOutput(now)
+	for _, i := range stepped {
+		m.noteStepped(i)
+	}
+	m.steppedBuf = stepped
 	netStepped := false
 	if m.Net.NeedsStep(now) {
 		m.Net.Step(now)
@@ -426,35 +315,22 @@ func (m *Machine) wakeArrivals(now int64, netStepped bool) {
 	}
 }
 
-// drainChipOutput moves every chip's buffered cycle output into the shared
-// structures, in node-index order: trace events to the callback, outbox
-// messages into the network. A chip cannot observe another chip's
-// same-cycle injections, so draining after the chip phase is bit-identical
-// to the historical inject-during-step order — and it is the only point
-// where per-chip work touches shared mutable state, which is what makes
-// the parallel chip phase safe.
+// drainChipOutput moves every chip's outbox messages into the network, in
+// node-index order. A chip cannot observe another chip's same-cycle
+// injections, so draining after the chip phase is bit-identical to an
+// inject-during-step order — and it is the one injection path, shared
+// with the distributed engine's shard workers.
 func (m *Machine) drainChipOutput(now int64) {
 	for _, c := range m.Chips {
-		c.FlushTrace()
 		c.FlushNet(now)
 	}
 }
 
 // NextEvent reports the earliest cycle >= now at which any component of the
 // machine can change state without new external input, NoEvent if the
-// machine is permanently idle (deadlocked or finished). With the parallel
-// engine's pool alive the chip minimum comes from the per-shard due-set
-// aggregates — O(shards) instead of O(nodes); the cached values are never
-// later than the chips' true wakes, so the answer can only err early, which
-// at worst costs a spurious (and observably identical) busy cycle.
+// machine is permanently idle (deadlocked or finished).
 func (m *Machine) NextEvent(now int64) int64 {
 	next := m.Net.NextEvent(now)
-	if m.pool != nil {
-		if w := m.pool.nextEvent(now); w < next {
-			next = w
-		}
-		return next
-	}
 	for _, c := range m.Chips {
 		if w := c.NextEvent(now); w < next {
 			next = w
@@ -465,14 +341,9 @@ func (m *Machine) NextEvent(now int64) int64 {
 
 // skip fast-forwards the machine clock d cycles; the caller must have
 // established via NextEvent that no component can act inside the window.
-// With the parallel pool alive the per-chip SkipCycles replay is deferred
-// (the active-set scheduler batches it when a chip next runs, or a sync
-// point materializes it), so a machine-wide idle jump is one addition.
 func (m *Machine) skip(d int64) {
-	if m.pool == nil {
-		for _, c := range m.Chips {
-			c.SkipCycles(d)
-		}
+	for _, c := range m.Chips {
+		c.SkipCycles(d)
 	}
 	m.Cycle += d
 }
@@ -584,10 +455,6 @@ const QuietWindow = quietWindow
 func (m *Machine) Run(maxCycles int64) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	// The active-set scheduler defers idle chips' per-cycle bookkeeping;
-	// materialize it before returning so callers observe exactly the
-	// per-chip cycle counts and stall statistics of the serial engines.
-	defer m.syncDeferred()
 	m.WakeAll()
 	m.recomputeActive()
 	start := m.Cycle
@@ -686,35 +553,14 @@ func (m *Machine) WakeAll() {
 	}
 }
 
-// syncDeferred materializes any idle-chip bookkeeping the active-set
-// scheduler deferred (no-op without a pool).
-func (m *Machine) syncDeferred() {
-	if m.pool != nil {
-		m.pool.sync(m.Cycle)
-	}
-}
-
-// Rebalances reports how many times the parallel engine has re-drawn its
-// shard boundaries (0 when the pool never started). Diagnostics only:
-// rebalancing cannot affect simulated results.
-func (m *Machine) Rebalances() int64 {
-	if m.pool == nil {
-		return 0
-	}
-	return m.pool.Rebalances()
-}
-
 // RunUntil steps until pred holds or maxCycles elapse. The event engine
 // advances cycle-by-cycle here (components are still skipped when idle,
 // but the clock is not fast-forwarded), so an arbitrary predicate — even
 // one reading Machine.Cycle — observes exactly the per-cycle sequence the
-// naive loop produces. The chip phase always runs serially here, even on
-// a parallel-configured machine: with no fast-forward amortizing it, the
-// per-cycle barrier would dominate, and the result is identical anyway.
+// naive loop produces.
 func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	m.syncDeferred() // pred may read per-chip state a prior Run deferred
 	m.WakeAll()
 	m.recomputeActive()
 	start := m.Cycle
@@ -726,7 +572,7 @@ func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 		if pred() {
 			return m.Cycle - start, nil
 		}
-		m.step(false)
+		m.Step()
 	}
 	return m.Cycle - start, fmt.Errorf("machine: condition not met within %d cycles", maxCycles)
 }

@@ -37,7 +37,6 @@ func (m *Machine) EncodeShard(w io.Writer, lo, hi int) error {
 	if lo < 0 || hi > len(m.Chips) || lo >= hi {
 		return fmt.Errorf("machine: shard range [%d,%d) outside 0..%d", lo, hi, len(m.Chips))
 	}
-	m.syncDeferred()
 	bw := bufio.NewWriter(w)
 	sw := snap.NewWriter(bw)
 	sw.U64(shardFrameMagic)
@@ -91,7 +90,6 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 	if err := sr.Err(); err != nil {
 		return 0, fmt.Errorf("machine: adopt shard [%d,%d): %w", lo, hi, err)
 	}
-	m.syncDeferred()
 	for i, c := range scratch {
 		m.Chips[lo+i].Adopt(c)
 	}

@@ -6,10 +6,8 @@ package machine
 // binary stream; Restore loads one into a compatible machine; Fork clones
 // a machine through an in-memory snapshot.
 //
-// Snapshots are engine-agnostic: Save first materializes any idle-chip
-// bookkeeping the parallel engine's active-set scheduler deferred (the
-// same sync point Run and Close use), so the serialized state is the one
-// the serial engines would show, bit for bit. Restore re-derives the
+// Snapshots are engine-agnostic: the naive and event engines hold
+// bit-identical state between cycles, and Restore re-derives the
 // event-engine wake caches by touching every chip — the always-safe early
 // direction of the NextEvent contract — so the restored machine continues
 // identically under any engine.
@@ -46,7 +44,7 @@ const (
 
 // encodeConfig writes the parts of the configuration that define snapshot
 // compatibility: the mesh shape and the chip's timing and capacity
-// parameters. Engine selection (Workers, RebalanceEvery, Naive) is
+// parameters. Engine selection (Naive) is
 // deliberately excluded — it is not simulated state, and a snapshot taken
 // under one engine restores under any other.
 func encodeConfig(w *snap.Writer, cfg Config) {
@@ -125,7 +123,6 @@ func decodeConfig(r *snap.Reader) Config {
 // environment, not state — and the event-engine wake caches, which
 // Restore re-derives.
 func (m *Machine) Save(w io.Writer) error {
-	m.syncDeferred()
 	bw := bufio.NewWriter(w)
 	sw := snap.NewWriter(bw)
 	sw.U64(snapshotMagic)
@@ -155,7 +152,7 @@ func (m *Machine) Save(w io.Writer) error {
 // by Save. The target must have the same mesh shape and chip
 // configuration as the saved machine (the snapshot carries both and
 // Restore verifies them); the engine configuration, installed trace
-// callbacks, and worker pool of the target are preserved. On any error
+// callbacks, and fault probe of the target are preserved. On any error
 // the machine is left untouched.
 func (m *Machine) Restore(rd io.Reader) error {
 	r := snap.NewReader(bufio.NewReader(rd))
@@ -195,10 +192,8 @@ func (m *Machine) Restore(rd io.Reader) error {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 
-	// Phase 2: commit. Materialize any engine-deferred bookkeeping first
-	// (the pre-restore state must be consistent before it is overwritten),
-	// then adopt the scratch state in place — infallible from here on.
-	m.syncDeferred()
+	// Phase 2: commit. Adopt the scratch state in place — infallible from
+	// here on.
 	m.Cycle = cycle
 	copy(m.nextPPN, nppn)
 	m.GDT.Adopt(gdt)
@@ -206,9 +201,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 		c.Adopt(chips[i])
 	}
 	m.Net.Adopt(net)
-	// Re-derive the engine caches: touch every chip (firing the parallel
-	// engine's due-set hooks) and rebuild the arrival tracking and the
-	// run-loop activity counters from the adopted state.
+	// Re-derive the engine caches: touch every chip and rebuild the
+	// arrival tracking and the run-loop activity counters from the
+	// adopted state.
 	m.WakeAll()
 	m.recomputeActive()
 	return nil

@@ -3,9 +3,9 @@ package machine_test
 // Checkpoint/restore regression: run → snapshot → continue and
 // restore-into-fresh-machine → continue must be bit-identical — cycle
 // counts, register and memory state, statistics, and the trace streams of
-// the continuation — across every engine (naive, serial event, parallel
-// at several shard counts), including cross-engine restores (snapshot
-// under one engine, continue under another). Corrupt, truncated, and
+// the continuation — across both engines (naive and event), including
+// cross-engine restores (snapshot under one engine, continue under the
+// other). Corrupt, truncated, and
 // wrong-version snapshots must fail with a descriptive error and leave
 // the machine untouched.
 
@@ -23,17 +23,13 @@ import (
 
 // snapMode is one engine configuration of the snapshot matrix.
 type snapMode struct {
-	name      string
-	naive     bool
-	workers   int
-	rebalance int64
+	name  string
+	naive bool
 }
 
 var snapModes = []snapMode{
-	{"naive", true, 0, 0},
-	{"event", false, 0, 0},
-	{"parallel2", false, 2, -1},
-	{"parallel3/rebal8", false, 3, 8},
+	{"naive", true},
+	{"event", false},
 }
 
 // buildSnapWorkload boots a 4-node machine under the given engine with a
@@ -45,8 +41,6 @@ func buildSnapWorkload(t *testing.T, mode snapMode) *machine.Machine {
 	const nodes = 4
 	cfg := machine.DefaultConfig()
 	cfg.Dims = noc.Coord{X: nodes, Y: 1, Z: 1}
-	cfg.Workers = mode.workers
-	cfg.RebalanceEvery = mode.rebalance
 	m := machine.New(cfg)
 	m.Naive = mode.naive
 	if _, err := rt.Install(m, rt.Options{Caching: true}); err != nil {
@@ -106,8 +100,7 @@ func snapFingerprint(t *testing.T, m *machine.Machine, ran int64) string {
 	return b.String()
 }
 
-// stepN advances the machine N cycles under its configured engine (Step
-// uses the parallel chip phase when one is configured, unlike RunUntil).
+// stepN advances the machine N cycles under its configured engine.
 func stepN(m *machine.Machine, n int) {
 	m.WakeAll()
 	for i := 0; i < n; i++ {
@@ -293,15 +286,13 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestDoubleClose: Close is idempotent — a second Close (with and without
-// a started worker pool, and after a finished Run) is a harmless no-op,
-// while stepping after Close still panics (TestStepAfterClosePanics).
+// TestDoubleClose: Close is idempotent — a second Close (before and after
+// stepping, and after a finished Run) is a harmless no-op.
 func TestDoubleClose(t *testing.T) {
 	for _, steps := range []int{0, 4} {
 		t.Run(fmt.Sprintf("steps%d", steps), func(t *testing.T) {
 			cfg := machine.DefaultConfig()
 			cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-			cfg.Workers = 2
 			m := machine.New(cfg)
 			loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
 			for i := 0; i < steps; i++ {
@@ -314,7 +305,6 @@ func TestDoubleClose(t *testing.T) {
 	t.Run("afterRun", func(t *testing.T) {
 		cfg := machine.DefaultConfig()
 		cfg.Dims = noc.Coord{X: 4, Y: 1, Z: 1}
-		cfg.Workers = 2
 		m := machine.New(cfg)
 		loadUser(t, m, 0, 0, 0, "movi i1, #1\nhalt")
 		if _, err := m.Run(100000); err != nil {

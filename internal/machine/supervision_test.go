@@ -70,56 +70,44 @@ func TestRequestStopEndsRun(t *testing.T) {
 // stops the run, waits for it, and completes — no deadlock, no panic, no
 // race. Afterwards the machine is closed and further Closes are no-ops.
 func TestCloseDuringRun(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		name := "serial"
-		if workers > 0 {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := machine.DefaultConfig()
-			cfg.Workers = workers
-			m := machine.New(cfg)
-			if _, err := rt.Install(m, rt.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.MapNodeRange(0, 4, 0); err != nil {
-				t.Fatal(err)
-			}
-			spin(t, m)
-
-			runErr := make(chan error, 1)
-			go func() {
-				_, err := m.Run(1 << 40)
-				runErr <- err
-			}()
-			for m.CycleGauge() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-
-			closed := make(chan struct{})
-			go func() {
-				m.Close()
-				close(closed)
-			}()
-			select {
-			case <-closed:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Close deadlocked against the in-flight Run")
-			}
-			if err := <-runErr; !errors.Is(err, machine.ErrStopped) {
-				t.Fatalf("in-flight run: want ErrStopped, got %v", err)
-			}
-			m.Close() // idempotent
-		})
+	m := machine.New(machine.DefaultConfig())
+	if _, err := rt.Install(m, rt.Options{}); err != nil {
+		t.Fatal(err)
 	}
+	if err := m.MapNodeRange(0, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	spin(t, m)
+
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := m.Run(1 << 40)
+		runErr <- err
+	}()
+	for m.CycleGauge() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close deadlocked against the in-flight Run")
+	}
+	if err := <-runErr; !errors.Is(err, machine.ErrStopped) {
+		t.Fatalf("in-flight run: want ErrStopped, got %v", err)
+	}
+	m.Close() // idempotent
 }
 
 // TestConcurrentCloses: many simultaneous Closes (with no run in flight)
 // are safe.
 func TestConcurrentCloses(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	cfg.Workers = 2
-	m := machine.New(cfg)
+	m := machine.New(machine.DefaultConfig())
 	if _, err := m.Run(50); err != nil && !errors.Is(err, machine.ErrCycleLimit) {
 		t.Fatal(err)
 	}
@@ -134,9 +122,8 @@ func TestConcurrentCloses(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCloseThenRun: the historical contract — Run after Close — must
-// still hold for the serial engines, and the transient stop Close raises
-// must not leak into later runs.
+// TestCloseThenRun: Run after Close must still work, and the transient
+// stop Close raises must not leak into later runs.
 func TestCloseThenRun(t *testing.T) {
 	m, _ := newMachine(t, 1, rt.Options{})
 	m.Close()
@@ -146,7 +133,7 @@ func TestCloseThenRun(t *testing.T) {
     halt
 `)
 	if _, err := m.Run(1000); err != nil {
-		t.Fatalf("serial run after Close: %v", err)
+		t.Fatalf("run after Close: %v", err)
 	}
 	if got := reg(m, 0, 0, 0, 1); got != 42 {
 		t.Fatalf("i1 = %d, want 42", got)

@@ -15,7 +15,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -119,10 +118,7 @@ type Network struct {
 	// node's network input interface consumes them, indexed by node id.
 	arrivals [][NumPriorities]msgQueue
 	// arrivalCount totals undelivered-to-chip messages across all nodes.
-	// It is atomic because Pop runs concurrently under the parallel chip
-	// engine (each chip pops only its own node's queues, so the queues
-	// themselves are unshared; this counter is the one cross-node write).
-	arrivalCount atomic.Int64 `snap:"derived,recomputed from decoded arrivals"`
+	arrivalCount int64 `snap:"derived,recomputed from decoded arrivals"`
 
 	// deliveredTo lists the nodes that received at least one delivery
 	// during the most recent Step, deduplicated via deliveredMark (per-node
@@ -244,7 +240,7 @@ func (n *Network) Step(now int64) {
 				// Delivery into the node's hardware message queue.
 				node := n.Index(f.at)
 				n.arrivals[node][pri].push(f.msg)
-				n.arrivalCount.Add(1)
+				n.arrivalCount++
 				if n.deliveredMark[node] != now {
 					n.deliveredMark[node] = now
 					n.deliveredTo = append(n.deliveredTo, node)
@@ -290,7 +286,7 @@ func (n *Network) Step(now int64) {
 // delivered messages await consumption by a node. NoEvent means the network
 // is empty and will not act until the next Inject.
 func (n *Network) NextEvent(now int64) int64 {
-	if n.arrivalCount.Load() > 0 {
+	if n.arrivalCount > 0 {
 		return now
 	}
 	if n.nextWake < now {
@@ -340,7 +336,7 @@ func (n *Network) Pop(c Coord, pri int) *Message {
 	if q.len() == 0 {
 		return nil
 	}
-	n.arrivalCount.Add(-1)
+	n.arrivalCount--
 	return q.pop()
 }
 
@@ -373,7 +369,7 @@ func (n *Network) DropArrivals(i, pri, k int) {
 	for j := 0; j < k; j++ {
 		q.pop()
 	}
-	n.arrivalCount.Add(int64(-k))
+	n.arrivalCount -= int64(k)
 }
 
 // Deliver places m directly into node i's arrival queue at priority pri,
@@ -385,7 +381,7 @@ func (n *Network) DropArrivals(i, pri, k int) {
 // per-(node, priority) FIFO order — the only order chips can observe.
 func (n *Network) Deliver(i int, pri int, m *Message) {
 	n.arrivals[i][pri].push(m)
-	n.arrivalCount.Add(1)
+	n.arrivalCount++
 }
 
 // ClearTraffic drops all in-flight and delivered-but-unconsumed messages.
@@ -404,7 +400,7 @@ func (n *Network) ClearTraffic() {
 			n.arrivals[i][pri] = msgQueue{}
 		}
 	}
-	n.arrivalCount.Store(0)
+	n.arrivalCount = 0
 	n.deliveredTo = nil
 	n.nextWake = NoEvent
 }
@@ -425,7 +421,7 @@ func (n *Network) InFlight() int { return len(n.flight[0]) + len(n.flight[1]) }
 
 // Quiescent reports whether no messages are in flight or waiting anywhere.
 func (n *Network) Quiescent() bool {
-	return n.InFlight() == 0 && n.arrivalCount.Load() == 0
+	return n.InFlight() == 0 && n.arrivalCount == 0
 }
 
 // Distance returns the Manhattan hop count between two nodes.

@@ -158,7 +158,7 @@ func DecodeNetworkState(r *snap.Reader, dims Coord, cfg Config) *Network {
 			total += int64(cnt)
 		}
 	}
-	n.arrivalCount.Store(total)
+	n.arrivalCount = total
 	return n
 }
 
@@ -175,7 +175,7 @@ func (n *Network) Adopt(src *Network) {
 	n.Delivered = src.Delivered
 	n.TotalHops = src.TotalHops
 	copy(n.arrivals, src.arrivals)
-	n.arrivalCount.Store(src.arrivalCount.Load())
+	n.arrivalCount = src.arrivalCount
 	n.nextWake = src.nextWake
 	clear(n.linkBusy)
 	n.deliveredTo = n.deliveredTo[:0]

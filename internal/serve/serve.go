@@ -59,7 +59,6 @@ type Config struct {
 	Backoff         time.Duration // initial retry backoff (default 100ms)
 	BackoffCap      time.Duration // backoff ceiling (default 5s)
 	Grace           time.Duration // guard hang grace (0 = guard default)
-	SimWorkers      int           // per-session engine workers (default 1 = serial)
 
 	Chaos *Chaos               // fault injection (nil = none)
 	Logf  func(string, ...any) // event log (nil = silent)
@@ -113,9 +112,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 5 * time.Second
-	}
-	if c.SimWorkers == 0 {
-		c.SimWorkers = 1
 	}
 	if c.DefaultCycles > c.MaxCycles || c.DefaultWall > c.MaxWall {
 		return c, errors.New("serve: default budgets exceed their caps")
@@ -382,6 +378,17 @@ func (sv *Server) count(f func(*Stats)) {
 	sv.mu.Unlock()
 }
 
+// settle applies a session state transition and its stats counter in one
+// server critical section (lock order sv.mu then s.mu, as in Stats), so
+// a client that returns from /wait and then reads /stats always finds
+// the transition counted.
+func (sv *Server) settle(s *Session, bump func(*Stats), set func()) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	bump(&sv.stats)
+	s.update(set)
+}
+
 // Drain stops the server gracefully: new admissions are refused, every
 // running session is stopped at its next run-loop head and suspended
 // with its latest boundary checkpoint left in the spool, queued sessions
@@ -425,52 +432,28 @@ const (
 
 // runSession drives one session to a terminal (or suspended) state:
 // attempts with retry-from-checkpoint and capped exponential backoff in
-// between.
+// between. Every other outcome was already settled by runAttempt.
 func (sv *Server) runSession(s *Session) {
-	for {
-		switch sv.runAttempt(s) {
-		case attemptDone:
-			sv.count(func(st *Stats) {
-				st.Done++
-				if s.retries > 0 {
-					st.Recovered++
-				}
-			})
-			return
-		case attemptFailed:
-			sv.count(func(st *Stats) { st.Failed++ })
-			return
-		case attemptCanceled:
-			removeSpooled(sv.cfg.Spool, s.ID)
-			sv.count(func(st *Stats) { st.Canceled++ })
-			return
-		case attemptSuspended:
-			sv.count(func(st *Stats) { st.Suspended++ })
-			return
-		case attemptRetry:
-			sv.count(func(st *Stats) { st.Retries++ })
-			backoff := sv.cfg.Backoff << uint(s.retries)
-			if backoff > sv.cfg.BackoffCap || backoff <= 0 {
-				backoff = sv.cfg.BackoffCap
-			}
-			s.update(func() {
-				s.retries++
-				s.state = StateRetrying
-				s.backoff = backoff
-			})
-			sv.cfg.logf("session %s: retry %d/%d in %v (%s)",
-				s.ID, s.retries, sv.cfg.Retries, backoff, s.failClass)
-			if !sv.sleep(s, backoff) {
-				// Interrupted: re-enter runAttempt, whose quantum-head
-				// checks will cancel or suspend immediately.
-				continue
-			}
+	for sv.runAttempt(s) == attemptRetry {
+		backoff := sv.cfg.Backoff << uint(s.retries)
+		if backoff > sv.cfg.BackoffCap || backoff <= 0 {
+			backoff = sv.cfg.BackoffCap
 		}
+		sv.settle(s, func(st *Stats) { st.Retries++ }, func() {
+			s.retries++
+			s.state = StateRetrying
+			s.backoff = backoff
+		})
+		sv.cfg.logf("session %s: retry %d/%d in %v (%s)",
+			s.ID, s.retries, sv.cfg.Retries, backoff, s.failClass)
+		// An interrupted sleep falls through to the next attempt, whose
+		// quantum-head checks cancel or suspend immediately.
+		sv.sleep(s, backoff)
 	}
 }
 
-// sleep waits out a backoff, returning early (false) on cancel or drain.
-func (sv *Server) sleep(s *Session, d time.Duration) bool {
+// sleep waits out a backoff, returning early on cancel or drain.
+func (sv *Server) sleep(s *Session, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	check := time.NewTicker(10 * time.Millisecond)
@@ -478,10 +461,10 @@ func (sv *Server) sleep(s *Session, d time.Duration) bool {
 	for {
 		select {
 		case <-t.C:
-			return true
+			return
 		case <-check.C:
 			if s.isCanceled() || sv.Draining() {
-				return false
+				return
 			}
 		}
 	}
@@ -490,17 +473,24 @@ func (sv *Server) sleep(s *Session, d time.Duration) bool {
 // fail finalizes a permanent failure.
 func (sv *Server) fail(s *Session, class string, err error) attemptOutcome {
 	sv.cfg.logf("%s", sessionError(s, class, err))
-	s.update(func() {
-		s.state = StateFailed
-		s.failure = err.Error()
-		s.failClass = class
-	})
 	// The last checkpoint and crash dump stay in the spool for forensics?
 	// No: a failed session is terminal and re-adopting it at next boot
 	// would retry a deterministic failure forever. Keep the crash dump,
 	// drop the checkpoint.
 	os.Remove(ckptPath(sv.cfg.Spool, s.ID))
+	sv.settle(s, func(st *Stats) { st.Failed++ }, func() {
+		s.state = StateFailed
+		s.failure = err.Error()
+		s.failClass = class
+	})
 	return attemptFailed
+}
+
+// cancel finalizes a canceled session: nothing of it stays in the spool.
+func (sv *Server) cancel(s *Session) attemptOutcome {
+	removeSpooled(sv.cfg.Spool, s.ID)
+	sv.settle(s, func(st *Stats) { st.Canceled++ }, func() { s.state = StateCanceled })
+	return attemptCanceled
 }
 
 // runAttempt executes one attempt: boot (or restore) a simulator, then
@@ -518,7 +508,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 		ck = &checkpoint{ID: s.ID}
 	}
 
-	sim, err := s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers})
+	sim, err := s.sc.NewSim(core.Options{})
 	if err != nil {
 		return sv.fail(s, FailScenario, err)
 	}
@@ -545,7 +535,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			// Corrupt or incompatible snapshot: fall back to a fresh start.
 			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
 			sim.M.Close()
-			if sim, err = s.sc.NewSim(core.Options{Workers: sv.cfg.SimWorkers}); err != nil {
+			if sim, err = s.sc.NewSim(core.Options{}); err != nil {
 				closeSim = false
 				return sv.fail(s, FailScenario, err)
 			}
@@ -570,8 +560,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 		// request at entry, so these flags — not the stop flag — are the
 		// reliable interrupt signal; RequestStop only shortens a slice.
 		if s.isCanceled() {
-			s.update(func() { s.state = StateCanceled })
-			return attemptCanceled
+			return sv.cancel(s)
 		}
 		if sv.Draining() {
 			return sv.suspend(s)
@@ -605,8 +594,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			// back to whoever requested the stop.
 			if errors.Is(err, machine.ErrStopped) {
 				if s.isCanceled() {
-					s.update(func() { s.state = StateCanceled })
-					return attemptCanceled
+					return sv.cancel(s)
 				}
 				if sv.Draining() {
 					return sv.suspend(s)
@@ -640,22 +628,26 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 		return sv.fail(s, FailScenario, fmt.Errorf("saving final state: %v", err))
 	}
 	result := run.Result()
-	s.update(func() {
+	removeSpooled(sv.cfg.Spool, s.ID)
+	sv.settle(s, func(st *Stats) {
+		st.Done++
+		if s.retries > 0 {
+			st.Recovered++
+		}
+	}, func() {
 		s.state = StateDone
 		s.result = result
 		s.phases = append(s.phases[:0], result.Phases...)
 		s.checks = result.Checks
 		s.digest = stateDigest(final.Bytes())
 	})
-	removeSpooled(sv.cfg.Spool, s.ID)
 	return attemptDone
 }
 
 // transient records a transient failure and decides retry vs give-up.
-// The machine of this attempt is always discarded (a crashed parallel
-// pool is poisoned; a hung machine is abandoned un-Closed per the guard
-// contract) — the next attempt restores the spooled checkpoint into a
-// fresh simulator.
+// The machine of this attempt is always discarded (a hung machine is
+// abandoned un-Closed per the guard contract) — the next attempt restores
+// the spooled checkpoint into a fresh simulator.
 func (sv *Server) transient(s *Session, err error, closeSim *bool) attemptOutcome {
 	if guard.IsHang(err) {
 		*closeSim = false // wedged run goroutine still owns the machine
@@ -689,7 +681,7 @@ func (sv *Server) transient(s *Session, err error, closeSim *bool) attemptOutcom
 // keeping the recovered execution's slice bounds identical to an
 // uninterrupted run's.
 func (sv *Server) suspend(s *Session) attemptOutcome {
-	s.update(func() { s.state = StateSuspended })
+	sv.settle(s, func(st *Stats) { st.Suspended++ }, func() { s.state = StateSuspended })
 	sv.cfg.logf("session %s: suspended (drain); checkpoint retained", s.ID)
 	return attemptSuspended
 }

@@ -783,3 +783,104 @@ func TestRetryObservability(t *testing.T) {
 		t.Errorf("stats restores %d, want >= 1 (retry resumed from a boundary checkpoint)", st.Restores)
 	}
 }
+
+// getJSON decodes the JSON body of a GET on the test server.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatsAgreeAfterWait: the moment /wait reports a session settled,
+// /stats already counts it, for every settled state. A state published
+// before its counter would let a client observe a finished session that
+// the server does not yet account for.
+func TestStatsAgreeAfterWait(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   func(*Config)
+		src   string
+		act   func(sv *Server, ts *httptest.Server, s *Session)
+		state State
+		count func(Stats) uint64
+	}{
+		{
+			name:  "done",
+			src:   spinScenario(600),
+			state: StateDone,
+			count: func(st Stats) uint64 { return st.Done },
+		},
+		{
+			// The first attempt crashes and no retry is allowed.
+			name: "failed",
+			cfg: func(c *Config) {
+				c.Retries = -1
+				c.Chaos = &Chaos{Seed: 42, PanicEvery: 1, MaxCycle: 500}
+			},
+			src:   spinScenario(600),
+			state: StateFailed,
+			count: func(st Stats) uint64 { return st.Failed },
+		},
+		{
+			name: "canceled",
+			src:  spinScenario(200000),
+			act: func(_ *Server, ts *httptest.Server, s *Session) {
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+s.ID, nil)
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close()
+				}
+			},
+			state: StateCanceled,
+			count: func(st Stats) uint64 { return st.Canceled },
+		},
+		{
+			// The drain runs concurrently with /wait, so /wait returns on
+			// the suspension itself rather than after Drain has finished.
+			name: "suspended",
+			src:  spinScenario(200000),
+			act: func(sv *Server, _ *httptest.Server, _ *Session) {
+				go sv.Drain()
+			},
+			state: StateSuspended,
+			count: func(st Stats) uint64 { return st.Suspended },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Workers = 1
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			sv := mustServer(t, cfg)
+			ts := httptest.NewServer(sv.Handler())
+			defer ts.Close()
+			s, err := sv.Submit("spin.wl", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.act != nil {
+				tc.act(sv, ts, s)
+			}
+			var info Info
+			getJSON(t, ts.URL+"/api/v1/sessions/"+s.ID+"/wait?timeout=30s", &info)
+			var st Stats
+			getJSON(t, ts.URL+"/api/v1/stats", &st)
+			if info.State != tc.state {
+				t.Fatalf("state %s (%s: %s), want %s", info.State, info.FailureClass, info.Failure, tc.state)
+			}
+			if got := tc.count(st); got != 1 {
+				t.Errorf("/stats counts %d %s sessions right after /wait, want 1 (%+v)", got, tc.state, st)
+			}
+			if st.Running != 0 {
+				t.Errorf("/stats reports %d running after the only session settled", st.Running)
+			}
+		})
+	}
+}

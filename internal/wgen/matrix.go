@@ -22,13 +22,10 @@ type mode struct {
 }
 
 // matrixModes spans the in-process engines: the reference per-cycle
-// loop, the event engine, and the parallel engine at two worker/window
-// shapes (rebalancing included, since it must never affect results).
+// loop and the event engine.
 var matrixModes = [...]mode{
 	{"naive", core.Options{NaiveEngine: true}},
 	{"event", core.Options{}},
-	{"parallel2", core.Options{Workers: 2, RebalanceEvery: -1}},
-	{"parallel3-rebal8", core.Options{Workers: 3, RebalanceEvery: 8}},
 }
 
 // Modes reports the in-process engine count of the matrix, for

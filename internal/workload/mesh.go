@@ -2,7 +2,7 @@ package workload
 
 // Machine-scale mesh workloads: generators for programs that keep every
 // node of an arbitrarily large mesh busy, used by the scaling experiments,
-// the parallel-engine benchmarks, and examples/bigmesh. Two families:
+// the engine benchmarks, and examples/bigmesh. Two families:
 //
 //   - MeshSmooth: a block-distributed 1-D smoothing pass (the grid-smooth
 //     application generalized to any node count) — mostly local compute

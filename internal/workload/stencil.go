@@ -6,8 +6,7 @@
 // synchronization kernel (LoopSync) with its SpinLoop baseline, and the
 // ablation kernels (LoadHeavyKernel, PointerKernel) — plus the
 // machine-scale mesh families (MeshSmooth, NeighborExchangeSrc; see
-// mesh.go) used by the scaling experiments and parallel-engine
-// benchmarks.
+// mesh.go) used by the scaling experiments and engine benchmarks.
 //
 // FromDSL (dsl.go) lowers parsed declarative workload scenarios
 // (internal/wdsl, docs/wdsl.md) onto these same primitives and the MAP
