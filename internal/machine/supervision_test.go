@@ -70,38 +70,47 @@ func TestRequestStopEndsRun(t *testing.T) {
 // stops the run, waits for it, and completes — no deadlock, no panic, no
 // race. Afterwards the machine is closed and further Closes are no-ops.
 func TestCloseDuringRun(t *testing.T) {
-	m := machine.New(machine.DefaultConfig())
-	if _, err := rt.Install(m, rt.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.MapNodeRange(0, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	spin(t, m)
+	for _, naive := range []bool{false, true} {
+		name := "serial"
+		if naive {
+			name = "naive"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := machine.New(machine.DefaultConfig())
+			m.Naive = naive
+			if _, err := rt.Install(m, rt.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.MapNodeRange(0, 4, 0); err != nil {
+				t.Fatal(err)
+			}
+			spin(t, m)
 
-	runErr := make(chan error, 1)
-	go func() {
-		_, err := m.Run(1 << 40)
-		runErr <- err
-	}()
-	for m.CycleGauge() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+			runErr := make(chan error, 1)
+			go func() {
+				_, err := m.Run(1 << 40)
+				runErr <- err
+			}()
+			for m.CycleGauge() == 0 {
+				time.Sleep(time.Millisecond)
+			}
 
-	closed := make(chan struct{})
-	go func() {
-		m.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close deadlocked against the in-flight Run")
+			closed := make(chan struct{})
+			go func() {
+				m.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close deadlocked against the in-flight Run")
+			}
+			if err := <-runErr; !errors.Is(err, machine.ErrStopped) {
+				t.Fatalf("in-flight run: want ErrStopped, got %v", err)
+			}
+			m.Close() // idempotent
+		})
 	}
-	if err := <-runErr; !errors.Is(err, machine.ErrStopped) {
-		t.Fatalf("in-flight run: want ErrStopped, got %v", err)
-	}
-	m.Close() // idempotent
 }
 
 // TestConcurrentCloses: many simultaneous Closes (with no run in flight)
