@@ -13,8 +13,10 @@
 # (mbench -serve: checkpoint-based recovery must be bit-identical, see
 # docs/msimd.md), the distributed-engine soak (mbench -dist: the
 # multi-process determinism matrix and the chaos shard-kill drills, plus
-# a race pass over the coordinator; see docs/mdist.md), a one-shot
-# benchmark smoke pass
+# a race pass over the coordinator; see docs/mdist.md), a vet and test
+# pass over the separate hostbench module (the host-performance
+# benchmark harness, which root `go build ./...` never compiles), a
+# one-shot benchmark smoke pass
 # (every benchmark runs once, so a panicking or regressed-to-failure
 # benchmark breaks CI without paying for measurement), and a benchdiff
 # over the two most recent BENCH_<n>.json records (any metric delta or
@@ -23,9 +25,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke bench benchdiff
+.PHONY: ci build vet lint test shuffle race checkpoint examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke bench benchdiff
 
-ci: build vet lint test shuffle race checkpoint examples wl gen faults serve dist fuzz-smoke bench-smoke benchdiff
+ci: build vet lint test shuffle race checkpoint examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -117,6 +119,12 @@ serve:
 dist:
 	$(GO) run ./cmd/mbench -dist
 	$(GO) test -race -count=1 ./internal/dist
+
+# The host-performance benchmark harness (hostbench/) is its own Go
+# module, so the root build and test legs never compile it; an API change
+# in core, dist or guard would break it silently without this leg.
+hostbench:
+	cd hostbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Native fuzzing smoke over the snapshot decoder (corrupt stream =>
 # descriptive error, never a panic, never a half-mutated machine;

@@ -31,9 +31,8 @@ func runDistSoak(w io.Writer) error {
 	fmt.Fprintf(w, "distributed-engine soak: %d scenario(s)\n\n", len(distSoakScenarios))
 
 	type ref struct {
-		sc     *core.Scenario
-		res    *core.ScenarioResult
-		digest string
+		sc  *core.Scenario
+		res *core.ScenarioResult
 	}
 	refs := map[string]ref{}
 	for _, name := range distSoakScenarios {
@@ -41,15 +40,11 @@ func runDistSoak(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, s, err := sc.RunSim(core.Options{})
+		res, err := sc.Run(core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: in-process reference: %v", name, err)
 		}
-		digest, err := dist.Digest(s.M)
-		if err != nil {
-			return err
-		}
-		refs[name] = ref{sc: sc, res: res, digest: digest}
+		refs[name] = ref{sc: sc, res: res}
 	}
 
 	check := func(name, leg string, r *dist.RunResult, err error) error {
@@ -57,10 +52,10 @@ func runDistSoak(w io.Writer) error {
 			return fmt.Errorf("%s [%s]: %v", name, leg, err)
 		}
 		want := refs[name]
-		if r.TotalCycles != want.res.TotalCycles || r.Checks != want.res.Checks || r.Digest != want.digest {
+		if r.TotalCycles != want.res.TotalCycles || r.Checks != want.res.Checks || r.Digest != want.res.Digest {
 			return fmt.Errorf("%s [%s]: diverged: %d cycles / %d checks / %s, want %d / %d / %s",
 				name, leg, r.TotalCycles, r.Checks, r.Digest,
-				want.res.TotalCycles, want.res.Checks, want.digest)
+				want.res.TotalCycles, want.res.Checks, want.res.Digest)
 		}
 		fmt.Fprintf(w, "  %-16s %-24s %8d cycles  %d ckpt  %d recoveries  OK\n",
 			name, leg, r.TotalCycles, r.Checkpoints, r.Recoveries)

@@ -58,37 +58,6 @@ func TestWorkloadFlagConflict(t *testing.T) {
 	}
 }
 
-func TestDistFlagConflict(t *testing.T) {
-	newSet := func(args ...string) *flag.FlagSet {
-		fs := flag.NewFlagSet("msim", flag.PanicOnError)
-		fs.Bool("naive", false, "")
-		fs.Int("dist", 0, "")
-		fs.Bool("trace", false, "")
-		fs.Duration("timeout", 0, "")
-		fs.String("crash-dump", "", "")
-		fs.String("workload", "", "")
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-workload", "s.wl", "-dist", "2"}, ""},
-		{[]string{"-workload", "s.wl", "-dist", "2", "-trace"}, ""},
-		{[]string{"-workload", "s.wl", "-dist", "2", "-naive"}, "naive"},
-		{[]string{"-workload", "s.wl", "-dist", "2", "-timeout", "1s"}, "timeout"},
-		{[]string{"-workload", "s.wl", "-dist", "2", "-crash-dump", "d"}, "crash-dump"},
-	} {
-		fs := newSet(tc.args...)
-		if got := distFlagConflict(fs.Visit); got != tc.want {
-			t.Errorf("distFlagConflict(%v) = %q, want %q", tc.args, got, tc.want)
-		}
-	}
-}
-
 func buildMsim(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "msim")

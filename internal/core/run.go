@@ -98,8 +98,8 @@ func (r *ScenarioRun) Seek(step int, phaseCycles int64, phases []PhaseResult, ch
 
 // A PhaseRunner executes run phases (or slices of them) against whatever
 // engine is driving the machine: guard.Supervisor is the in-process
-// implementation, and the distributed coordinator (internal/dist)
-// provides another. RunPhase semantics follow Supervisor.RunPhase — run
+// implementation, and internal/dist runs its coordinator through a
+// guard.Budget. RunPhase semantics follow Supervisor.RunPhase — run
 // up to maxCycles simulated cycles with Machine.Run's completion
 // detection, returning the cycles executed (excluding the quiet window)
 // and machine.ErrCycleLimit when only the bound expired — so the slicing

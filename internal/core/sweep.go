@@ -18,13 +18,13 @@ import (
 	"fmt"
 
 	"repro/internal/guard"
+	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
 // PointResult is one sweep point's outcome. Phases carry the point
 // prefix in their names ("MSGS=4/work"); Digest fingerprints the
-// point's final machine state (hex sha256 of the snapshot, comparable
-// with dist.Digest).
+// point's final machine state (machine.Digest).
 type PointResult struct {
 	Name        string // "NAME=value"
 	Phases      []PhaseResult
@@ -102,7 +102,7 @@ func (sc *Scenario) runSweep(o Options) (*ScenarioResult, *Sim, error) {
 		}
 	}
 
-	if res.Digest, err = machineDigest(s.M); err != nil {
+	if res.Digest, err = machine.Digest(s.M); err != nil {
 		s.M.Close()
 		return nil, s, err
 	}
@@ -131,7 +131,7 @@ func (sc *Scenario) runPoint(ps *Sim, o Options, name string, parent *Sim) (*Poi
 	})
 	var digest string
 	if err == nil {
-		digest, err = machineDigest(ps.M)
+		digest, err = machine.Digest(ps.M)
 	}
 	if guard.IsHang(err) {
 		// A wedged run goroutine still owns the point machine; abandon

@@ -10,8 +10,6 @@ package core
 // picks up testdata/workloads/*.wl).
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 
@@ -73,26 +71,12 @@ type ScenarioResult struct {
 	Checks      int   // expect/check steps that passed; sweeps: all points
 	Stats       Stats
 	// Digest is the machine-state fingerprint at the end of a successful
-	// run (hex sha256 of the snapshot stream, computed before Close —
-	// the same function as dist.Digest). For sweep scenarios it covers
-	// the staging machine after the prefix; per-point fingerprints are
-	// in Points.
+	// run (machine.Digest, computed before Close). For sweep scenarios it
+	// covers the staging machine after the prefix; per-point fingerprints
+	// are in Points.
 	Digest string
 	// Points holds per-point results for sweep scenarios; nil otherwise.
 	Points []PointResult
-}
-
-// machineDigest is the canonical state fingerprint: the hex sha256 of
-// the full snapshot stream. It matches dist.Digest bit for bit (core
-// cannot import dist — dist imports core), so sweep-point digests,
-// scenario digests, and distributed-run digests are directly
-// comparable.
-func machineDigest(m *machine.Machine) (string, error) {
-	h := sha256.New()
-	if err := m.Save(h); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Run boots a machine per the scenario's mesh/caching declarations and
@@ -142,7 +126,7 @@ func (sc *Scenario) RunSim(o Options) (*ScenarioResult, *Sim, error) {
 		return e
 	})
 	if err == nil {
-		res.Digest, err = machineDigest(s.M)
+		res.Digest, err = machine.Digest(s.M)
 	}
 	if !guard.IsHang(err) {
 		s.M.Close()

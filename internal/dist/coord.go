@@ -1,11 +1,11 @@
 package dist
 
-// The coordinator: owner of the authoritative machine (the "hub"), the
-// clock, and the run-loop completion checks. It replicates machine.Run's
-// loop bit for bit — the loop-head quiescence checks, the quiet-window
-// idle counter, the event-driven fast-forward — but the chip phase of
-// each cycle is farmed out to the shard workers, and the hub's chips
-// never step. The hub network is the single source of truth for all
+// The coordinator: owner of the authoritative machine (the "hub") and
+// the clock. It drives the shared run loop (machine.Loop) as a
+// machine.Engine, so completion detection, the quiet window, and the
+// idle fast-forward are machine.Run's own — but the chip phase of each
+// cycle is farmed out to the shard workers, and the hub's chips never
+// step. The hub network is the single source of truth for all
 // traffic: worker outboxes are injected here in global node order (so
 // sequence numbers match an in-process run exactly), deliveries are
 // shipped to the owning shard as copies, and a shipped message is retired
@@ -22,7 +22,7 @@ package dist
 // heads, where the machine is exactly between cycles — respawns the
 // workers, and replays; the replay is bit-identical to an undisturbed
 // run because checkpoints capture the full hub state and the loop
-// position (cycle, idle counter, at-step flag).
+// position (the clock and the machine.Loop).
 
 import (
 	"bytes"
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/machine"
@@ -131,13 +132,12 @@ func (cfg *Config) setDefaults() {
 }
 
 // checkpoint is a coordinated rewind point: the full hub state plus the
-// run-loop position. atStep marks a checkpoint taken after the loop-head
-// checks and before the step, so a resume skips the checks once.
+// run-loop position. A checkpoint taken from the loop's Head hook has
+// loop.AtStep set, so a resume skips that head's checks.
 type checkpoint struct {
-	machine     []byte
-	cycle, idle int64
-	atStep      bool
-	valid       bool
+	machine []byte
+	cycle   int64
+	loop    machine.Loop
 }
 
 // shardConn is the coordinator's view of one worker.
@@ -148,20 +148,20 @@ type shardConn struct {
 	lastFrame time.Time
 }
 
-// Coordinator drives a sharded federation as a core.PhaseRunner: RunPhase
-// has Supervisor.RunPhase semantics (minus cycle budgets, which run.go's
-// budget wrapper adds back), so core.ScenarioRun can drive it unchanged.
+// Coordinator drives a sharded federation with a Machine's run surface —
+// Run and RunExact — so guard.Budget clamps it, and core.ScenarioRun
+// drives it, exactly like the in-process machine.
 type Coordinator struct {
 	cfg    Config
 	m      *machine.Machine // the hub
 	shards []*shardConn
 	owner  []int // node -> shard index
 
-	// Run-loop state, mirroring machine.Run's locals.
-	phaseStart  int64
-	cycle, idle int64
-	prevIssued  uint64
-	acts        []activity
+	// Run-loop state: the clock, the loop position, and each shard's
+	// latest activity report.
+	cycle int64
+	loop  machine.Loop
+	acts  []activity
 
 	// Arrival mirroring: per (node, pri), how many of the hub's pending
 	// arrivals have been shipped to the owning shard; pend lists nodes
@@ -171,7 +171,6 @@ type Coordinator struct {
 	pend     []int
 
 	ck           checkpoint
-	lastCkpt     int64
 	ckCount      int
 	pendingTrace []traceEvent
 
@@ -365,53 +364,64 @@ func (co *Coordinator) callExpect(sc *shardConn, kind byte, payload []byte, want
 	return reply, nil
 }
 
-// RunPhase runs one machine.Run leg across the federation, recovering
-// from shard failures via checkpoint rewind until the leg completes or
-// the recovery cap trips. Semantics match Machine.Run: the cycles
-// executed (excluding the quiet window) and an error on cycle-limit
-// expiry or user faults.
-func (co *Coordinator) RunPhase(maxCycles int64) (int64, error) {
-	resume := false
-	for {
-		n, err := co.phaseAttempt(maxCycles, resume)
-		var sf *ShardFailure
-		if errors.As(err, &sf) {
-			if rerr := co.recover(sf); rerr != nil {
-				return 0, rerr
-			}
-			resume = true
-			continue
-		}
-		return n, err
-	}
+// Run runs one machine.Run leg across the federation, recovering from
+// shard failures via checkpoint rewind until the leg completes or the
+// recovery cap trips. Semantics match Machine.Run: the cycles executed
+// (excluding the quiet window) and an error on cycle-limit expiry or
+// user faults.
+func (co *Coordinator) Run(maxCycles int64) (int64, error) {
+	return co.run(machine.Loop{Max: maxCycles})
 }
 
-// phaseAttempt is one try at the leg: seed the workers from the hub, run,
-// and reassemble the hub. A *ShardFailure return means "recover and call
-// me again with resume=true".
-func (co *Coordinator) phaseAttempt(maxCycles int64, resume bool) (int64, error) {
-	if !resume {
-		co.phaseStart = co.m.Cycle
-		co.cycle, co.idle = co.m.Cycle, 0
-		co.ck = checkpoint{}
-		co.pendingTrace = co.pendingTrace[:0]
-	}
-	if err := co.seedAll(); err != nil {
-		return 0, err
-	}
-	if !resume {
-		if err := co.takeCheckpoint(false); err != nil {
+// RunExact advances the federation exactly n cycles, as Machine.RunExact.
+func (co *Coordinator) RunExact(n int64) (int64, error) {
+	return co.run(machine.Loop{Max: n, Exact: true})
+}
+
+func (co *Coordinator) run(l machine.Loop) (int64, error) {
+	l.Start = co.m.Cycle
+	co.cycle, co.loop = co.m.Cycle, l
+	co.ck = checkpoint{}
+	co.pendingTrace = co.pendingTrace[:0]
+	for {
+		n, err := co.attempt()
+		var sf *ShardFailure
+		if !errors.As(err, &sf) {
+			return n, err
+		}
+		if err := co.recover(sf); err != nil {
 			return 0, err
 		}
 	}
-	n, err := co.runLeg(maxCycles, resume)
+}
+
+// attempt is one try at the leg: seed the workers from the hub (and take
+// the entry checkpoint on a fresh leg), run the loop from co.loop, and
+// reassemble the hub. A *ShardFailure return means "recover and call me
+// again".
+func (co *Coordinator) attempt() (int64, error) {
+	if err := co.seedAll(); err != nil {
+		return 0, err
+	}
+	if co.ck.machine == nil {
+		if err := co.takeCheckpoint(); err != nil {
+			return 0, err
+		}
+	}
+	if f := co.beginRun(); f != nil {
+		return 0, f
+	}
+	n, err := co.loop.Run((*federation)(co))
 	var sf *ShardFailure
 	if errors.As(err, &sf) {
 		return n, err
 	}
-	if serr := co.finishPhase(); serr != nil {
-		return n, serr
+	// Whatever the leg's outcome, leave the hub authoritative and flush
+	// the trace tail.
+	if f := co.syncHub(); f != nil {
+		return n, f
 	}
+	co.commitTrace()
 	return n, err
 }
 
@@ -468,101 +478,72 @@ func (co *Coordinator) beginRun() *ShardFailure {
 		}
 		co.acts[i] = a
 	}
-	co.prevIssued = co.issued()
 	return nil
 }
 
-func (co *Coordinator) running() int {
-	n := 0
-	for i := range co.acts {
-		n += co.acts[i].Running
+// federation is the Coordinator as a machine.Engine: the shared run loop
+// steps it through the lockstep exchange with the shard workers.
+type federation Coordinator
+
+func (e *federation) Now() int64 { return e.cycle }
+
+// Activity sums the shards' latest reports; the hub network is the
+// network.
+func (e *federation) Activity() machine.Activity {
+	a := machine.Activity{NetQuiet: e.m.Net.Quiescent()}
+	for i := range e.acts {
+		a.Running += e.acts[i].Running
+		a.Busy += e.acts[i].Busy
+		a.Issued += e.acts[i].Issued
 	}
-	return n
+	return a
 }
 
-func (co *Coordinator) busy() int {
-	n := 0
-	for i := range co.acts {
-		n += co.acts[i].Busy
+// Head takes the periodic coordinated checkpoint.
+func (e *federation) Head() error {
+	co := (*Coordinator)(e)
+	if co.cfg.CheckpointEvery > 0 && co.cycle-co.ck.cycle >= co.cfg.CheckpointEvery {
+		return co.takeCheckpoint()
 	}
-	return n
+	return nil
 }
 
-func (co *Coordinator) issued() uint64 {
-	var n uint64
-	for i := range co.acts {
-		n += co.acts[i].Issued
+func (e *federation) NextEvent() int64 {
+	next := e.m.Net.NextEvent(e.cycle)
+	for i := range e.acts {
+		next = min(next, e.acts[i].Next)
 	}
-	return n
+	return next
 }
 
-// faultErr mirrors Machine.FaultError: the first fault in node-scan
+// Skip only moves the clock: workers materialize the skipped window
+// lazily (cmdSkip) before their next step or pull.
+func (e *federation) Skip(d int64) { e.cycle += d }
+
+// FaultError mirrors Machine.FaultError: the first fault in node-scan
 // order (shard order is node order), nil if none.
-func (co *Coordinator) faultErr() error {
-	for i := range co.acts {
-		if co.acts[i].Fault != "" {
-			return errors.New(co.acts[i].Fault)
+func (e *federation) FaultError() error {
+	for i := range e.acts {
+		if e.acts[i].Fault != "" {
+			return errors.New(e.acts[i].Fault)
 		}
 	}
 	return nil
 }
 
-// runLeg is machine.Run's loop, distributed. Every branch mirrors the
-// in-process loop exactly; see Machine.Run.
-func (co *Coordinator) runLeg(maxCycles int64, resume bool) (int64, error) {
-	bound := co.phaseStart + maxCycles + machine.QuietWindow
-	if f := co.beginRun(); f != nil {
-		return 0, f
-	}
-	// A checkpoint taken at a loop head already performed the head's
-	// checks; a resume from one goes straight to the step.
-	atStep := resume && co.ck.atStep
-	for co.cycle < bound {
-		if !atStep {
-			if co.running() == 0 && co.busy() == 0 && co.m.Net.Quiescent() {
-				if co.issued() == co.prevIssued {
-					co.idle++
-					if co.idle >= machine.QuietWindow {
-						return co.cycle - co.phaseStart - co.idle, co.faultErr()
-					}
-				} else {
-					co.prevIssued, co.idle = co.issued(), 0
-				}
-			} else {
-				co.prevIssued, co.idle = co.issued(), 0
-			}
-			if co.cfg.CheckpointEvery > 0 && co.cycle-co.lastCkpt >= co.cfg.CheckpointEvery {
-				if err := co.takeCheckpoint(true); err != nil {
-					return co.cycle - co.phaseStart, err
-				}
-			}
-		}
-		atStep = false
-		if f := co.stepCycle(co.cycle); f != nil {
-			return co.cycle - co.phaseStart, f
-		}
-		co.fastForward(bound)
-	}
-	if co.running() == 0 {
-		return co.cycle - co.phaseStart, co.faultErr()
-	}
-	return co.cycle - co.phaseStart, fmt.Errorf("machine: %w within %d cycles", machine.ErrCycleLimit, maxCycles)
-}
-
-// stepCycle advances the federation through machine cycle t: fire due
+// Step advances the federation through machine cycle t = Now: fire due
 // kill drills, ship unshipped hub arrivals to their owners, step every
 // shard, then reassemble — inject outboxes in global node order, retire
 // confirmed consumptions, buffer traces, and step the hub network.
-func (co *Coordinator) stepCycle(t int64) *ShardFailure {
-	for i := 0; i < len(co.kill); {
-		k := co.kill[i]
-		if k.Cycle <= t && k.Shard >= 0 && k.Shard < len(co.shards) {
+func (e *federation) Step() error {
+	co, t := (*Coordinator)(e), e.cycle
+	co.kill = slices.DeleteFunc(co.kill, func(k KillSpec) bool {
+		due := k.Cycle <= t && k.Shard >= 0 && k.Shard < len(co.shards)
+		if due {
 			co.shards[k.Shard].h.Kill()
-			co.kill = append(co.kill[:i], co.kill[i+1:]...)
-			continue
 		}
-		i++
-	}
+		return due
+	})
 
 	// Drop drained nodes from the arrival mirror, then ship what the hub
 	// holds beyond each owner's shipped watermark.
@@ -647,44 +628,12 @@ func (co *Coordinator) stepCycle(t int64) *ShardFailure {
 	return nil
 }
 
-// fastForward mirrors Machine.fastForward: jump the clock to the next
-// event, clamped to the bound and the quiet window. Workers materialize
-// the skipped window lazily (cmdSkip) before their next step or pull.
-func (co *Coordinator) fastForward(bound int64) {
-	next := co.m.Net.NextEvent(co.cycle)
-	for i := range co.acts {
-		if co.acts[i].Next < next {
-			next = co.acts[i].Next
-		}
-	}
-	if next > bound {
-		next = bound
-	}
-	d := next - co.cycle
-	if d <= 0 {
-		return
-	}
-	if co.running() == 0 && co.busy() == 0 && co.m.Net.Quiescent() {
-		room := machine.QuietWindow - co.idle - 1
-		if room <= 0 {
-			return
-		}
-		if d > room {
-			d = room
-		}
-		co.idle += d
-	} else {
-		co.idle = 0
-	}
-	co.cycle += d
-}
-
-// takeCheckpoint records a coordinated rewind point. atStep checkpoints
-// sit at a run-loop head, so the workers' chip state must be pulled back
-// into the hub first; the entry checkpoint needs no pull because the hub
-// had just seeded the workers.
-func (co *Coordinator) takeCheckpoint(atStep bool) error {
-	if atStep {
+// takeCheckpoint records a coordinated rewind point at the current loop
+// position. Loop-head checkpoints (loop.AtStep) must first pull the
+// workers' chip state back into the hub; the entry checkpoint needs no
+// pull because the hub had just seeded the workers.
+func (co *Coordinator) takeCheckpoint() error {
+	if co.loop.AtStep {
 		if f := co.syncHub(); f != nil {
 			return f
 		}
@@ -693,8 +642,7 @@ func (co *Coordinator) takeCheckpoint(atStep bool) error {
 	if err := co.m.Save(&buf); err != nil {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	co.ck = checkpoint{machine: buf.Bytes(), cycle: co.cycle, idle: co.idle, atStep: atStep, valid: true}
-	co.lastCkpt = co.cycle
+	co.ck = checkpoint{machine: buf.Bytes(), cycle: co.cycle, loop: co.loop}
 	co.ckCount++
 	co.commitTrace()
 	if co.cfg.CheckpointPath != "" {
@@ -712,8 +660,8 @@ func (co *Coordinator) spool() error {
 		sw.U64(distCkptMagic)
 		sw.Int(1)
 		sw.I64(co.ck.cycle)
-		sw.I64(co.ck.idle)
-		sw.Bool(co.ck.atStep)
+		sw.I64(co.ck.loop.Idle)
+		sw.Bool(co.ck.loop.AtStep)
 		sw.Bytes(co.ck.machine)
 		return sw.Err()
 	})
@@ -761,16 +709,6 @@ func (co *Coordinator) syncHub() *ShardFailure {
 	return nil
 }
 
-// finishPhase leaves the hub authoritative at the leg's end, whatever
-// the leg's outcome, and flushes the trace tail.
-func (co *Coordinator) finishPhase() error {
-	if f := co.syncHub(); f != nil {
-		return f
-	}
-	co.commitTrace()
-	return nil
-}
-
 func (co *Coordinator) noteFailure(f *ShardFailure) {
 	co.failures = append(co.failures, FailureRecord{
 		Shard: f.Shard, Class: f.Class, Cycle: f.Cycle, Detail: f.Err.Error(),
@@ -781,31 +719,20 @@ func (co *Coordinator) noteFailure(f *ShardFailure) {
 // failure: every worker is respawned (survivors may hold half-exchanged
 // protocol state), the hub restores the checkpointed machine, the
 // buffered trace window is discarded, and fired fault drills are
-// disarmed so the replay runs clean. The caller then re-attempts the leg
-// with resume=true, which reseeds the workers from the restored hub.
+// disarmed so the replay runs clean. The caller then re-attempts the leg,
+// which reseeds the workers from the restored hub and resumes the loop at
+// the checkpointed position.
 func (co *Coordinator) recover(sf *ShardFailure) error {
 	co.noteFailure(sf)
 	if co.recoveries >= co.cfg.MaxRecoveries {
 		return fmt.Errorf("dist: recovery limit %d exhausted: %v", co.cfg.MaxRecoveries, sf)
 	}
 	co.recoveries++
-	if !co.ck.valid {
+	if co.ck.machine == nil {
 		return fmt.Errorf("dist: no checkpoint to recover from: %v", sf)
 	}
-	keepChaos := co.chaos[:0]
-	for _, c := range co.chaos {
-		if c.Cycle > co.cycle {
-			keepChaos = append(keepChaos, c)
-		}
-	}
-	co.chaos = keepChaos
-	keepKill := co.kill[:0]
-	for _, k := range co.kill {
-		if k.Cycle > co.cycle {
-			keepKill = append(keepKill, k)
-		}
-	}
-	co.kill = keepKill
+	co.chaos = slices.DeleteFunc(co.chaos, func(c ChaosSpec) bool { return c.Cycle <= co.cycle })
+	co.kill = slices.DeleteFunc(co.kill, func(k KillSpec) bool { return k.Cycle <= co.cycle })
 	for i := range co.shards {
 		if err := co.spawn(i); err != nil {
 			return err
@@ -814,54 +741,7 @@ func (co *Coordinator) recover(sf *ShardFailure) error {
 	if err := co.m.Restore(bytes.NewReader(co.ck.machine)); err != nil {
 		return fmt.Errorf("dist: restore checkpoint: %w", err)
 	}
-	co.cycle, co.idle = co.ck.cycle, co.ck.idle
-	co.lastCkpt = co.ck.cycle
+	co.cycle, co.loop = co.ck.cycle, co.ck.loop
 	co.pendingTrace = co.pendingTrace[:0]
 	return nil
-}
-
-// RunExact advances the federation exactly n cycles with no completion
-// detection and no fast-forward — the distributed twin of the cycle-by-
-// cycle tail guard.Supervisor.RunPhase uses when the remaining cycle
-// budget is smaller than one quiet window.
-func (co *Coordinator) RunExact(n int64) error {
-	resume := false
-	for {
-		err := co.exactAttempt(n, resume)
-		var sf *ShardFailure
-		if errors.As(err, &sf) {
-			if rerr := co.recover(sf); rerr != nil {
-				return rerr
-			}
-			resume = true
-			continue
-		}
-		return err
-	}
-}
-
-func (co *Coordinator) exactAttempt(n int64, resume bool) error {
-	if !resume {
-		co.phaseStart = co.m.Cycle
-		co.cycle, co.idle = co.m.Cycle, 0
-		co.ck = checkpoint{}
-		co.pendingTrace = co.pendingTrace[:0]
-	}
-	if err := co.seedAll(); err != nil {
-		return err
-	}
-	if !resume {
-		if err := co.takeCheckpoint(false); err != nil {
-			return err
-		}
-	}
-	if f := co.beginRun(); f != nil {
-		return f
-	}
-	for co.cycle < co.phaseStart+n {
-		if f := co.stepCycle(co.cycle); f != nil {
-			return f
-		}
-	}
-	return co.finishPhase()
 }

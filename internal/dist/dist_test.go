@@ -40,11 +40,7 @@ func refRun(t *testing.T, sc *core.Scenario, o core.Options) refOutcome {
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
-	digest, err := Digest(s.M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return refOutcome{res: res, digest: digest, events: s.Recorder.Events}
+	return refOutcome{res: res, digest: res.Digest, events: s.Recorder.Events}
 }
 
 func distRun(t *testing.T, sc *core.Scenario, cfg Config) (*RunResult, []trace.Event) {

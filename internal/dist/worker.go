@@ -266,7 +266,7 @@ func (w *worker) chaos(t int64) {
 
 // skipTo materializes deferred idle cycles: the coordinator fast-
 // forwarded the clock to `to`, and the owned chips replay the skipped
-// window's idle bookkeeping exactly like machine.skip.
+// window's idle bookkeeping exactly like the machine run loop's Skip.
 func (w *worker) skipTo(to int64) error {
 	d := to - w.m.Cycle
 	if d < 0 {

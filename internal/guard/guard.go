@@ -302,42 +302,64 @@ func (s *Supervisor) Do(fn func() error) error {
 	}
 }
 
-// RunPhase runs one machine.Run leg inside a Do, clamping maxCycles to
-// the remaining cycle budget. The budget is exact: a budget-bound leg
-// stops at machine cycle base+CycleBudget precisely (machine.Run's bound
-// is padded by the completion-detection quiet window; the clamp subtracts
-// it back out), so exhaustion reproduces at the identical cycle on every
-// host and engine. When the global budget — not the leg's own bound — is
-// what cut the run off, the error is a *StallError (StallBudget) that Do
-// enriches with diagnostics and the dump on the way out. Outside a Do it
-// behaves like Machine.Run plus the clamp.
+// RunPhase runs one machine.Run leg inside a Do, clamped to the
+// remaining cycle budget (see Budget). When the global budget — not the
+// leg's own bound — is what cut the run off, the error is a *StallError
+// (StallBudget) that Do enriches with diagnostics and the dump on the way
+// out. Outside a Do it behaves like Machine.Run plus the clamp.
 func (s *Supervisor) RunPhase(maxCycles int64) (int64, error) {
-	if s.opt.CycleBudget <= 0 {
-		return s.m.Run(maxCycles)
+	return Budget{M: s.m, Leg: s.m, Base: s.base, Limit: s.opt.CycleBudget}.RunPhase(maxCycles)
+}
+
+// Leg is a run-phase backend a cycle budget clamps: a *machine.Machine,
+// or internal/dist's Coordinator.
+type Leg interface {
+	Run(maxCycles int64) (int64, error) // Machine.Run semantics
+	RunExact(n int64) (int64, error)    // Machine.RunExact semantics
+}
+
+// Budget clamps a Leg's run phases to a cycle budget: Limit cycles
+// counted on M's clock from Base (Limit <= 0 disables the clamp). It is
+// the one budget implementation, serving Supervisor and the distributed
+// engine alike. The budget is exact: a budget-bound leg stops at machine
+// cycle Base+Limit precisely (machine.Run's bound is padded by the
+// completion-detection quiet window; the clamp subtracts it back out), so
+// exhaustion reproduces at the identical cycle on every host and engine,
+// and surfaces as a *StallError (StallBudget).
+type Budget struct {
+	M           *machine.Machine
+	Leg         Leg
+	Base, Limit int64
+}
+
+// RunPhase runs one leg of at most maxCycles under the remaining budget.
+func (b Budget) RunPhase(maxCycles int64) (int64, error) {
+	if b.Limit <= 0 {
+		return b.Leg.Run(maxCycles)
 	}
-	rem := s.opt.CycleBudget - (s.m.Cycle - s.base)
+	rem := b.Limit - (b.M.Cycle - b.Base)
 	budgetErr := func() *StallError {
-		return &StallError{Kind: StallBudget, Cycle: s.m.Cycle, Budget: s.opt.CycleBudget}
+		return &StallError{Kind: StallBudget, Cycle: b.M.Cycle, Budget: b.Limit}
 	}
 	if rem <= 0 {
 		return 0, budgetErr()
 	}
 	if maxCycles+machine.QuietWindow <= rem {
 		// The leg's own bound binds; its timeout is the caller's business.
-		return s.m.Run(maxCycles)
+		return b.Leg.Run(maxCycles)
 	}
 	if bound := rem - machine.QuietWindow; bound > 0 {
-		n, err := s.m.Run(bound)
-		if err != nil && errors.Is(err, machine.ErrCycleLimit) {
+		n, err := b.Leg.Run(bound)
+		if errors.Is(err, machine.ErrCycleLimit) {
 			return n, budgetErr()
 		}
 		return n, err
 	}
 	// Less budget left than one quiet window: advance the exact remainder
-	// cycle by cycle (bit-identical to the engine loop, merely without the
-	// idle fast-forward, over at most QuietWindow-1 cycles).
-	n, err := s.m.RunUntil(func() bool { return false }, rem)
-	if err == nil || errors.Is(err, machine.ErrStopped) {
+	// (bit-identical to the engine loop, merely without completion
+	// detection and the idle fast-forward), then report exhaustion.
+	n, err := b.Leg.RunExact(rem)
+	if err != nil {
 		return n, err
 	}
 	return n, budgetErr()

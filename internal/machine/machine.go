@@ -31,9 +31,9 @@ import (
 	"repro/internal/noc"
 )
 
-// ErrStopped is wrapped into the error Run and RunUntil return when an
-// external stop request (RequestStop, or a Close racing the run) aborts
-// the run before completion. The machine state is a consistent
+// ErrStopped is wrapped into the error Run, RunExact and RunUntil return
+// when an external stop request (RequestStop, or a Close racing the run)
+// aborts the run before completion. The machine state is a consistent
 // between-cycles state — the run simply ended early — so it can be
 // inspected, snapshotted, or resumed. Detect with errors.Is.
 var ErrStopped = errors.New("run stopped")
@@ -106,16 +106,14 @@ type Machine struct {
 	arrivalNodes []int  `snap:"derived,rebuilt by recomputeActive after Restore"`
 	arrivalMark  []bool `snap:"derived,rebuilt by recomputeActive after Restore"`
 
-	// Run-loop activity counters (ROADMAP, "Run-loop active sets"): the
-	// loop head's UserDone/Quiescent/totalIssued checks ran O(nodes) scans
-	// every busy cycle; these cache the same quantities per chip and
-	// maintain the machine totals incrementally. A chip's contribution can
-	// only change on a cycle it steps (every thread transition, queue
-	// push, and issue happens inside Chip.Step, and its outbox is drained
-	// before the counters are read), so noteStepped refreshes exactly the
-	// stepped chips — O(active) per cycle. recomputeActive rebuilds
-	// everything at Run/RunUntil entry and after Restore, covering
-	// external mutations (program loads, pokes) between runs.
+	// Run-loop activity counters: the loop head's quantities (Activity),
+	// cached per chip with the machine totals maintained incrementally. A
+	// chip's contribution can only change on a cycle it steps (every
+	// thread transition, queue push, and issue happens inside Chip.Step,
+	// and its outbox is drained before the counters are read), so
+	// noteStepped refreshes exactly the stepped chips — O(active) per
+	// cycle. recomputeActive rebuilds everything at run entry and after
+	// Restore, covering external mutations (program loads, pokes).
 	runningUser int      `snap:"derived,rebuilt by recomputeActive after Restore"` // running user H-Threads across all chips
 	busyChips   int      `snap:"derived,rebuilt by recomputeActive after Restore"` // chips with outstanding work (!chip.Quiescent)
 	issuedTotal uint64   `snap:"derived,rebuilt by recomputeActive after Restore"` // sum of per-chip InstsIssued
@@ -173,11 +171,11 @@ func New(cfg Config) *Machine {
 }
 
 // Close ends the machine's session. It is safe to call concurrently with
-// an in-flight Run or RunUntil: it raises the stop request, waits for the
-// run to observe it at its next loop head and return ErrStopped, and
-// returns once no run holds the machine (the shutdown ordering a session
-// server needs). Close is idempotent and optional; a machine holds no
-// goroutines or other resources that outlive it.
+// an in-flight Run, RunExact or RunUntil: it raises the stop request,
+// waits for the run to observe it at its next loop head and return
+// ErrStopped, and returns once no run holds the machine (the shutdown
+// ordering a session server needs). Close is idempotent and optional; a
+// machine holds no goroutines or other resources that outlive it.
 func (m *Machine) Close() {
 	m.stopReq.Store(true)
 	m.runMu.Lock()
@@ -187,10 +185,10 @@ func (m *Machine) Close() {
 	m.stopReq.Store(false)
 }
 
-// RequestStop asks an in-flight Run or RunUntil to return at its next
-// loop head with an error wrapping ErrStopped. It is safe from any
-// goroutine — this is the watchdog stop flag (see internal/guard): the
-// flag is polled only at the run-loop head, so it cannot change any
+// RequestStop asks an in-flight Run, RunExact or RunUntil to return at
+// its next loop head with an error wrapping ErrStopped. It is safe from
+// any goroutine — this is the watchdog stop flag (see internal/guard):
+// the flag is polled only at the run-loop head, so it cannot change any
 // simulated state, only where the run ends. The request is sticky until
 // ClearStop; a Run entered with the flag raised returns immediately.
 func (m *Machine) RequestStop() { m.stopReq.Store(true) }
@@ -339,15 +337,6 @@ func (m *Machine) NextEvent(now int64) int64 {
 	return next
 }
 
-// skip fast-forwards the machine clock d cycles; the caller must have
-// established via NextEvent that no component can act inside the window.
-func (m *Machine) skip(d int64) {
-	for _, c := range m.Chips {
-		c.SkipCycles(d)
-	}
-	m.Cycle += d
-}
-
 // UserDone reports whether every loaded user H-Thread has halted or
 // faulted.
 func (m *Machine) UserDone() bool {
@@ -415,122 +404,40 @@ func (m *Machine) recomputeActive() {
 	}
 }
 
-// Quiescent reports whether no node or the network has outstanding work.
-func (m *Machine) Quiescent() bool {
-	if !m.Net.Quiescent() {
-		return false
-	}
-	for _, c := range m.Chips {
-		if !c.Quiescent() {
-			return false
-		}
-	}
-	return true
-}
-
-// quietWindow is the number of consecutive idle cycles Run requires before
-// declaring the machine done: user threads may halt while event handlers
-// are still mid-record, so quiescence is confirmed by observing no
-// instruction issue anywhere with all queues drained.
-const quietWindow = 32
-
-// QuietWindow is quietWindow for external bound arithmetic: Run's cycle
+// QuietWindow is the number of consecutive idle cycles Run requires
+// before declaring the machine done: user threads may halt while event
+// handlers are still mid-record, so quiescence is confirmed by observing
+// no instruction issue anywhere with all queues drained. Run's cycle
 // bound is padded by this many detection cycles, so a caller that must
 // stop the machine at an exact cycle (internal/guard's cycle budgets)
 // subtracts it back out of the bound it passes.
-const QuietWindow = quietWindow
+const QuietWindow = 32
 
-// Run steps until all user threads are done and the machine has been
-// quiescent (no queued work and no instruction issued) for quietWindow
-// cycles, or maxCycles elapse. It returns the cycles executed (excluding
-// the quiet window) and an error on timeout or if any user thread faulted.
-//
-// Under the event-driven engine Run additionally fast-forwards: after each
-// step it asks every component for its NextEvent and, when the minimum lies
-// beyond the next cycle, jumps the clock there in one go. The skipped
-// cycles are provably no-ops (no component may act, so the loop-head
-// bookkeeping below is frozen too), and their only observable effects —
-// per-cycle stall statistics — are replayed exactly by Machine.skip, so
-// cycle counts, state, and traces stay bit-identical to the naive loop.
+// Run steps, under the shared run loop (Loop.Run), until all user
+// threads are done and the machine has been quiet for QuietWindow cycles,
+// or maxCycles elapse. It returns the cycles executed (excluding the quiet
+// window) and an error on timeout or if any user thread faulted.
 func (m *Machine) Run(maxCycles int64) (int64, error) {
+	return m.run(Loop{Max: maxCycles})
+}
+
+// RunExact advances exactly n cycles — no completion detection and no
+// fast-forward, but still bit-identical to the engine loop and still
+// stoppable — and returns the cycles executed. Cycle budgets use it for
+// a remainder shorter than one quiet window (internal/guard).
+func (m *Machine) RunExact(n int64) (int64, error) {
+	return m.run(Loop{Max: n, Exact: true})
+}
+
+func (m *Machine) run(l Loop) (int64, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	m.WakeAll()
 	m.recomputeActive()
-	start := m.Cycle
-	bound := start + maxCycles + quietWindow
-	idle := int64(0)
-	prevIssued := m.issuedTotal
-	for m.Cycle < bound {
-		// Stop flag and progress gauge: the only supervision cost on the
-		// hot path, one atomic load and one atomic store per loop
-		// iteration. Stopping cannot change simulated state — the run
-		// merely ends between two cycles.
-		m.cycleGauge.Store(m.Cycle)
-		if m.stopReq.Load() {
-			return m.Cycle - start, fmt.Errorf("machine: run stopped at cycle %d: %w", m.Cycle, ErrStopped)
-		}
-		// The loop-head checks read the incrementally maintained activity
-		// counters (see noteStepped) — O(1) instead of the historical
-		// O(nodes) UserDone/Quiescent/totalIssued scans every busy cycle,
-		// and equal to them at every iteration by construction.
-		if m.runningUser == 0 && m.busyChips == 0 && m.Net.Quiescent() {
-			if m.issuedTotal == prevIssued {
-				idle++
-				if idle >= quietWindow {
-					return m.Cycle - start - idle, m.FaultError()
-				}
-			} else {
-				prevIssued, idle = m.issuedTotal, 0
-			}
-		} else {
-			prevIssued, idle = m.issuedTotal, 0
-		}
-		m.Step()
-		if !m.Naive {
-			m.fastForward(bound, &idle)
-		}
-	}
+	l.Start = m.Cycle
+	n, err := l.Run((*engine)(m))
 	m.cycleGauge.Store(m.Cycle)
-	if m.UserDone() {
-		return m.Cycle - start, m.FaultError()
-	}
-	return m.Cycle - start, fmt.Errorf("machine: %w within %d cycles", ErrCycleLimit, maxCycles)
-}
-
-// fastForward jumps the clock to the machine's next event (clamped to
-// bound), emulating the loop-head bookkeeping of Run for every skipped
-// iteration. State is frozen across the window, so the per-iteration
-// checks are constant: either the machine is done and quiescent — each
-// skipped iteration increments the idle counter, and the jump must stop
-// one cycle before the counter reaches the quiet window so the next real
-// iteration returns exactly where the naive loop would — or it is not, and
-// each iteration resets the counter.
-func (m *Machine) fastForward(bound int64, idle *int64) {
-	next := m.NextEvent(m.Cycle)
-	if next > bound {
-		next = bound
-	}
-	d := next - m.Cycle
-	if d <= 0 {
-		return
-	}
-	if m.runningUser == 0 && m.busyChips == 0 && m.Net.Quiescent() {
-		// issuedTotal cannot have changed (an issue would have set the
-		// issuing chip's NextEvent to the very next cycle), so every
-		// skipped iteration takes the idle++ branch.
-		room := quietWindow - *idle - 1
-		if room <= 0 {
-			return
-		}
-		if d > room {
-			d = room
-		}
-		*idle += d
-	} else {
-		*idle = 0
-	}
-	m.skip(d)
+	return n, err
 }
 
 // WakeAll forces every chip to re-derive its next event on its coming
@@ -579,18 +486,24 @@ func (m *Machine) RunUntil(pred func() bool, maxCycles int64) (int64, error) {
 
 // FaultError collects user-thread fault diagnostics, nil if none.
 func (m *Machine) FaultError() error {
-	for i, c := range m.Chips {
-		for vt := 0; vt < isa.NumUserSlots; vt++ {
-			for cl := 0; cl < isa.NumClusters; cl++ {
-				th := c.Thread(vt, cl)
-				if th.Status == cluster.ThreadFaulted {
-					return fmt.Errorf("machine: node %d vthread %d cluster %d faulted: %s",
-						i, vt, cl, th.FaultMsg)
-				}
-			}
+	for i := range m.Chips {
+		if msg := m.chipFault(i); msg != "" {
+			return errors.New(msg)
 		}
 	}
 	return nil
+}
+
+// chipFault describes node i's first faulted user thread, "" if none.
+func (m *Machine) chipFault(i int) string {
+	for vt := 0; vt < isa.NumUserSlots; vt++ {
+		for cl := 0; cl < isa.NumClusters; cl++ {
+			if th := m.Chips[i].Thread(vt, cl); th.Status == cluster.ThreadFaulted {
+				return fmt.Sprintf("machine: node %d vthread %d cluster %d faulted: %s", i, vt, cl, th.FaultMsg)
+			}
+		}
+	}
+	return ""
 }
 
 // MapPageGroup installs a GDT entry distributing a virtual range across

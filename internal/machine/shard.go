@@ -17,8 +17,6 @@ import (
 	"io"
 
 	"repro/internal/chip"
-	"repro/internal/cluster"
-	"repro/internal/isa"
 	"repro/internal/snap"
 )
 
@@ -117,15 +115,7 @@ func (m *Machine) ShardActivity(lo, hi int, now int64) (running, busy int, issue
 			next = w
 		}
 		if fault == "" {
-			for vt := 0; vt < isa.NumUserSlots; vt++ {
-				for cl := 0; cl < isa.NumClusters; cl++ {
-					if th := c.Thread(vt, cl); th.Status == cluster.ThreadFaulted {
-						fault = fmt.Sprintf("machine: node %d vthread %d cluster %d faulted: %s",
-							i, vt, cl, th.FaultMsg)
-						vt, cl = isa.NumUserSlots, isa.NumClusters // first hit wins
-					}
-				}
-			}
+			fault = m.chipFault(i)
 		}
 	}
 	return running, busy, issued, next, fault

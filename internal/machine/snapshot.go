@@ -20,6 +20,8 @@ package machine
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 
@@ -114,6 +116,17 @@ func decodeConfig(r *snap.Reader) Config {
 	c.SendCredits = r.Int()
 	c.ResendDelay = r.I64()
 	return cfg
+}
+
+// Digest is the canonical state fingerprint: the hex sha256 of the Save
+// stream. Two machines with equal digests hold bit-identical simulation
+// state, whichever engine produced them.
+func Digest(m *Machine) (string, error) {
+	h := sha256.New()
+	if err := m.Save(h); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Save serializes the machine's complete simulation state to w. It must
