@@ -72,7 +72,7 @@ func Assemble(name, src string) (*isa.Program, error) {
 		}
 		f.op.Imm = int64(idx)
 	}
-	return &isa.Program{Name: name, Insts: a.insts, Labels: a.labels}, nil
+	return isa.NewProgram(name, a.insts, a.labels), nil
 }
 
 // MustAssemble is Assemble for statically known-good sources (the runtime's

@@ -409,9 +409,10 @@ func (c *Chip) applyPending(now int64) {
 	if now >= c.pendRegNext {
 		rest := c.pendingRegs[:0]
 		next := NoEvent
-		for _, p := range c.pendingRegs {
+		for i := range c.pendingRegs {
+			p := &c.pendingRegs[i]
 			if p.at > now {
-				rest = append(rest, p)
+				rest = append(rest, *p)
 				if p.at < next {
 					next = p.at
 				}
@@ -451,7 +452,12 @@ func (c *Chip) applyPending(now int64) {
 
 // schedule queues a register writeback.
 func (c *Chip) schedule(at int64, vthread, cl int, reg isa.Reg, w isa.Word) {
-	c.pendingRegs = append(c.pendingRegs, pendingReg{at, vthread, cl, reg, w})
+	// Fill the new entry in place: appending a composed literal stages it
+	// on the stack and copies it back, a store-forwarding stall on the
+	// busiest write of the issue path.
+	c.pendingRegs = append(c.pendingRegs, pendingReg{})
+	p := &c.pendingRegs[len(c.pendingRegs)-1]
+	p.at, p.vthread, p.cl, p.reg, p.w = at, vthread, cl, reg, w
 	if at < c.pendRegNext {
 		c.pendRegNext = at
 	}

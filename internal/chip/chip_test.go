@@ -2,6 +2,8 @@ package chip_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/asm"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/rt"
 )
 
 // newChip builds a single standalone chip on a 2x1x1 mesh with a GDT
@@ -473,5 +476,127 @@ func TestNodeThrCycSpecials(t *testing.T) {
 	}
 	if ireg(c, 2, 1, 4) != ireg(c, 2, 1, 3)+1 {
 		t.Errorf("cyc not monotonic: %d then %d", ireg(c, 2, 1, 3), ireg(c, 2, 1, 4))
+	}
+}
+
+// TestBusyALUCycleNoAllocs pins the issue stage's allocation budget: a
+// cycle in which every cluster issues ALU and FP work from two V-Threads
+// (the plain-instruction fast path, writebacks, round-robin selection)
+// allocates nothing.
+func TestBusyALUCycleNoAllocs(t *testing.T) {
+	c := newChip(t)
+	for vt := 0; vt < 2; vt++ {
+		for cl := 0; cl < isa.NumClusters; cl++ {
+			load(t, c, vt, cl, `
+    movi i1, #0
+    movi i2, #1000000000
+    movi i3, #7
+    movi i9, #3
+    itof f1, i9
+    itof f2, i9
+loop:
+    add i3, i3, #5 | xor i4, i4, i3 | fadd f2, f2, f1
+    mul i6, i6, i3 | add i1, i1, #1 | fmul f3, f2, f1
+    sub i4, i4, i6 | lt i5, i1, i2 | fadd f2, f2, f3
+    brt i5, loop
+    halt
+`, false)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		c.Step(c.Cycle)
+	}
+	before := c.InstsIssued
+	if avg := testing.AllocsPerRun(1000, func() { c.Step(c.Cycle) }); avg != 0 {
+		t.Errorf("busy ALU cycle allocates %.2f objects, want 0", avg)
+	}
+	// Every cluster must have been issuing, or the pin measures an idle
+	// chip.
+	if got := c.InstsIssued - before; got < 1001*isa.NumClusters/2 {
+		t.Errorf("%d instructions issued over 1001 cycles on %d clusters: chip was not busy", got, isa.NumClusters)
+	}
+}
+
+// TestPlainReadyStateSpace drives the mask-versus-walk comparison of
+// Chip.CheckPlainReady over every scoreboard state that matters: for each
+// plain instruction of the runtime handlers, the checked-in programs and
+// a hazard-heavy synthetic program, every full/empty combination of the
+// registers it names, with the other registers all full and all empty.
+// (The workload-driven differential tests in core and wgen see only the
+// states their programs reach; this one covers write-after-write stalls
+// and the rest of the combinations directly.)
+func TestPlainReadyStateSpace(t *testing.T) {
+	r, err := rt.New(mem.DefaultConfig(), rt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*isa.Program{r.FaultHandler, r.LTLBHandler, r.MsgHandler, r.ReplyHandler, r.ExcHandler}
+	files, err := filepath.Glob("../../testdata/*.masm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := asm.Assemble(f, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	progs = append(progs, asm.MustAssemble("hazards", `
+    movi i4, #1 | movi i5, #2 | fmov f1, f2
+    add i3, i4, i5 | sub i6, i7, #3 | fadd f3, f4, f5
+    mul i1, i1, i2 | lea i8, i9, #4 | fmul f6, f6, f7
+    xor i11, i12, i13 | itof f8, i10
+    shl i1, i2, i3 | ftoi i14, f9
+    brt i15, #0 | feq i2, f10, f11
+    empty i5 | empty f12
+    jmpr i3
+    halt
+`))
+	c := newChip(t)
+	compared := 0
+	for _, p := range progs {
+		c.LoadProgram(0, 0, p, true)
+		th := c.Thread(0, 0)
+		for pc := range p.Insts {
+			d := p.Insts[pc].Decoded()
+			if !d.Plain {
+				continue
+			}
+			th.PC = pc
+			named := uint32(d.IntMask) | uint32(d.FPMask)<<16
+			for _, others := range []bool{true, false} {
+				// Every subset of the named registers is full.
+				for sub := named; ; sub = (sub - 1) & named {
+					for i := 0; i < isa.NumIntRegs; i++ {
+						setFull(th.Ints, i, sub&(1<<i) != 0 || named&(1<<i) == 0 && others)
+						setFull(th.FPs, i, sub&(1<<(16+i)) != 0 || named&(1<<(16+i)) == 0 && others)
+					}
+					n, _, err := c.CheckPlainReady(c.Cycle)
+					if err != nil {
+						t.Fatalf("%s: %v", p.Name, err)
+					}
+					compared += n
+					if sub == 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no plain instruction compared")
+	}
+}
+
+func setFull(rf *cluster.RegFile, i int, full bool) {
+	if full {
+		rf.Set(i, rf.Get(i))
+	} else {
+		rf.MarkEmpty(i)
 	}
 }

@@ -23,20 +23,23 @@ import (
 // the scan's stat effects over fast-forwarded idle cycles.
 func (c *Chip) issueCluster(now int64, cl int) bool {
 	cc := c.Clusters[cl]
-	start := cc.LastIssued + 1
+	vt := cc.LastIssued
 	for i := 0; i < isa.NumVThreads; i++ {
-		vt := (start + i) % isa.NumVThreads
+		if vt++; vt == isa.NumVThreads {
+			vt = 0
+		}
 		th := cc.Threads[vt]
 		in := th.Current()
 		if in == nil {
 			continue
 		}
-		if !c.ready(now, vt, cl, th, in) {
+		d := in.Decoded()
+		if !c.ready(now, vt, cl, th, d) {
 			th.StallCycles++
 			c.idleStalled = append(c.idleStalled, th)
 			continue
 		}
-		c.issue(now, vt, cl, th, in)
+		c.issue(now, vt, cl, th, d)
 		cc.LastIssued = vt
 		return true
 	}
@@ -44,9 +47,21 @@ func (c *Chip) issueCluster(now int64, cl int) bool {
 }
 
 // ready implements the scoreboard and resource checks for a whole
-// instruction: all operations issue together or not at all.
-func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) bool {
-	for _, op := range in.Ops() {
+// instruction: all operations issue together or not at all. A plain
+// instruction (isa.Decoded) needs only its registers full, which is two
+// mask compares against the scoreboards; every other instruction walks
+// its operations through opReady.
+func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, d *isa.Decoded) bool {
+	if d.Plain {
+		return th.Ints.AllFull(d.IntMask) && th.FPs.AllFull(d.FPMask)
+	}
+	return c.walkReady(now, vt, cl, th, d)
+}
+
+// walkReady is the op-by-op readiness check. Its only side effect is the
+// SendsBlocked count of a throttled SEND.
+func (c *Chip) walkReady(now int64, vt, cl int, th *cluster.HThread, d *isa.Decoded) bool {
+	for _, op := range d.Ops[:d.N] {
 		if !c.opReady(now, vt, cl, th, op) {
 			return false
 		}
@@ -54,12 +69,42 @@ func (c *Chip) ready(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) b
 	return true
 }
 
+// CheckPlainReady compares, for every resident thread whose current
+// instruction is plain, the issue stage's mask decision with the
+// op-by-op walk. It reports how many threads it compared, how many of
+// those were not ready, and the first disagreement. The walk has no side
+// effect on a plain instruction, so checking never perturbs a run: the
+// differential tests call it from a machine fault probe, before each chip
+// step, over whole workloads.
+func (c *Chip) CheckPlainReady(now int64) (checked, notReady int, err error) {
+	for cl, cc := range c.Clusters {
+		for vt, th := range cc.Threads {
+			in := th.Current()
+			if in == nil {
+				continue
+			}
+			d := in.Decoded()
+			if !d.Plain {
+				continue
+			}
+			mask, walk := c.ready(now, vt, cl, th, d), c.walkReady(now, vt, cl, th, d)
+			checked++
+			if !walk {
+				notReady++
+			}
+			if mask != walk && err == nil {
+				err = fmt.Errorf("chip %d cycle %d: vthread %d cluster %d pc %d %q: mask check %v, walk %v",
+					c.Index, now, vt, cl, th.PC, in, mask, walk)
+			}
+		}
+	}
+	return checked, notReady, err
+}
+
 func (c *Chip) opReady(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) bool {
 	// Source operands must be full.
-	for _, src := range []isa.Reg{op.Src1, op.Src2} {
-		if !c.srcReady(vt, cl, th, src) {
-			return false
-		}
+	if !c.srcReady(vt, cl, th, op.Src1) || !c.srcReady(vt, cl, th, op.Src2) {
+		return false
 	}
 	// Multi-register operands (TLBW, MRETRY read 4 consecutive registers;
 	// SEND reads the body registers).
@@ -219,14 +264,14 @@ func (c *Chip) writeDst(now int64, vt, cl int, op *isa.Op, lat int64, w isa.Word
 
 // issue executes all operations of an instruction. Operations issue
 // together; results complete out of order according to their latencies.
-func (c *Chip) issue(now int64, vt, cl int, th *cluster.HThread, in *isa.Inst) {
+func (c *Chip) issue(now int64, vt, cl int, th *cluster.HThread, d *isa.Decoded) {
 	c.InstsIssued++
 	th.Issued++
 	nextPC := th.PC + 1
-	for _, op := range in.Ops() {
+	for _, op := range d.Ops[:d.N] {
 		c.OpsIssued++
 		th.OpsIssued++
-		if op.Code.IsPrivileged() && !th.Privileged {
+		if !th.Privileged && op.Code.IsPrivileged() {
 			c.protFault(vt, cl, th, fmt.Sprintf("privileged op %s in user thread", op.Code))
 			return
 		}

@@ -20,24 +20,33 @@ import (
 // scoreboard bit per register (Section 3.1, "H-Thread Synchronization": "A
 // scoreboard bit associated with the destination register is cleared
 // (empty) when a multicycle operation ... issues and set (full) when the
-// result is available").
+// result is available"). The scoreboard is a bitmask, so the issue stage
+// checks a whole instruction's operands with one compare (AllFull).
 type RegFile struct {
-	vals []isa.Word
-	full []bool
+	vals [fileRegs]isa.Word
+	full uint16 // bit i set = register i full
 }
 
-// NewRegFile creates a file of n registers, all full and zero. Threads
+// fileRegs is the size of both register files (isa.NumIntRegs ==
+// isa.NumFPRegs, pinned below).
+const fileRegs = isa.NumIntRegs
+
+var _ [isa.NumIntRegs - isa.NumFPRegs]struct{}
+var _ [isa.NumFPRegs - isa.NumIntRegs]struct{}
+
+// allFull is the scoreboard with every register full.
+const allFull = 1<<fileRegs - 1
+
+// NewRegFile creates a file with all registers full and zero. Threads
 // start with a defined, readable register state.
-func NewRegFile(n int) *RegFile {
-	rf := &RegFile{vals: make([]isa.Word, n), full: make([]bool, n)}
-	for i := range rf.full {
-		rf.full[i] = true
-	}
-	return rf
-}
+func NewRegFile() *RegFile { return &RegFile{full: allFull} }
 
 // Full reports the scoreboard bit of register i.
-func (rf *RegFile) Full(i int) bool { return rf.full[i] }
+func (rf *RegFile) Full(i int) bool { return rf.full&(1<<i) != 0 }
+
+// AllFull reports whether every register whose bit is set in mask is
+// full.
+func (rf *RegFile) AllFull(mask uint16) bool { return mask&^rf.full == 0 }
 
 // Get returns the value of register i; the caller must have checked Full.
 func (rf *RegFile) Get(i int) isa.Word { return rf.vals[i] }
@@ -45,12 +54,12 @@ func (rf *RegFile) Get(i int) isa.Word { return rf.vals[i] }
 // Set writes register i and marks it full (result writeback).
 func (rf *RegFile) Set(i int, w isa.Word) {
 	rf.vals[i] = w
-	rf.full[i] = true
+	rf.full |= 1 << i
 }
 
 // MarkEmpty clears the scoreboard bit (issue of a multicycle op targeting
 // i, or an explicit EMPTY operation preparing an inter-cluster transfer).
-func (rf *RegFile) MarkEmpty(i int) { rf.full[i] = false }
+func (rf *RegFile) MarkEmpty(i int) { rf.full &^= 1 << i }
 
 // Len returns the number of registers.
 func (rf *RegFile) Len() int { return len(rf.vals) }
@@ -101,13 +110,17 @@ type HThread struct {
 // NewHThread creates an empty H-Thread context with fresh register files.
 func NewHThread() *HThread {
 	return &HThread{
-		Ints: NewRegFile(isa.NumIntRegs),
-		FPs:  NewRegFile(isa.NumFPRegs),
+		Ints: NewRegFile(),
+		FPs:  NewRegFile(),
 	}
 }
 
-// Load installs a program and makes the thread runnable.
+// Load installs a program and makes the thread runnable. The program
+// must come from isa.NewProgram: the issue stage runs on its predecode.
 func (h *HThread) Load(p *isa.Program, privileged bool) {
+	if p != nil && !p.Predecoded() {
+		panic(fmt.Sprintf("cluster: program %q was not built by isa.NewProgram", p.Name))
+	}
 	h.Prog = p
 	h.PC = 0
 	h.Status = ThreadRunning
@@ -149,21 +162,18 @@ func (h *HThread) File(c isa.RegClass) *RegFile {
 // "the map global CC registers are physically replicated on each of the
 // clusters").
 type GCCFile struct {
-	vals []isa.Word
-	full []bool
+	vals [isa.NumGCCRegs]isa.Word
+	full uint8 // bit i set = gcc i full
 }
+
+var _ [8 - isa.NumGCCRegs]struct{} // the scoreboard is a uint8
 
 // NewGCCFile creates the replica with all registers empty: a gcc must be
 // produced (broadcast) before it can be consumed.
-func NewGCCFile() *GCCFile {
-	return &GCCFile{
-		vals: make([]isa.Word, isa.NumGCCRegs),
-		full: make([]bool, isa.NumGCCRegs),
-	}
-}
+func NewGCCFile() *GCCFile { return &GCCFile{} }
 
 // Full reports the local scoreboard bit.
-func (g *GCCFile) Full(i int) bool { return g.full[i] }
+func (g *GCCFile) Full(i int) bool { return g.full&(1<<i) != 0 }
 
 // Get reads the local copy.
 func (g *GCCFile) Get(i int) isa.Word { return g.vals[i] }
@@ -171,12 +181,12 @@ func (g *GCCFile) Get(i int) isa.Word { return g.vals[i] }
 // Set writes the local copy and marks it full (one leg of a broadcast).
 func (g *GCCFile) Set(i int, w isa.Word) {
 	g.vals[i] = w
-	g.full[i] = true
+	g.full |= 1 << i
 }
 
 // MarkEmpty empties the local copy (the EMPTY operation; each consumer
 // empties its own replica, enabling the barrier protocol of Figure 6).
-func (g *GCCFile) MarkEmpty(i int) { g.full[i] = false }
+func (g *GCCFile) MarkEmpty(i int) { g.full &^= 1 << i }
 
 // Cluster is the architectural state of one execution cluster: six H-Thread
 // contexts (one per V-Thread slot) and the local GCC replica. The

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegFileScoreboard(t *testing.T) {
-	rf := NewRegFile(16)
+	rf := NewRegFile()
 	// Registers start full and zero so threads have defined state.
 	for i := 0; i < 16; i++ {
 		if !rf.Full(i) || rf.Get(i).Bits != 0 {
@@ -18,6 +18,9 @@ func TestRegFileScoreboard(t *testing.T) {
 	rf.MarkEmpty(3)
 	if rf.Full(3) {
 		t.Error("MarkEmpty did not clear scoreboard")
+	}
+	if rf.AllFull(1<<3|1<<5) || !rf.AllFull(1<<2|1<<5) || !rf.AllFull(0) {
+		t.Error("AllFull disagrees with the per-register scoreboard")
 	}
 	rf.Set(3, isa.Word{Bits: 42, Ptr: true})
 	if !rf.Full(3) || rf.Get(3).Bits != 42 || !rf.Get(3).Ptr {

@@ -18,54 +18,45 @@ import (
 // Decode bounds: snapshots carry at most these many entries per field, so
 // corrupt counts fail cleanly instead of driving huge allocations.
 const (
-	maxRegs      = 1024
 	maxProgWords = 1 << 22
 	maxNameLen   = 1 << 10
 	maxFaultLen  = 1 << 12
 )
 
-// EncodeState writes the register values and scoreboard bits (packed —
-// see isa.EncodeWords).
+// EncodeState writes the register values (packed — see isa.EncodeWords)
+// and the scoreboard, in the snap.Writer.Bools format.
 func (rf *RegFile) EncodeState(w *snap.Writer) {
-	isa.EncodeWords(w, rf.vals)
-	w.Bools(rf.full)
+	isa.EncodeWords(w, rf.vals[:])
+	w.Mask(len(rf.vals), uint64(rf.full))
 }
 
 // DecodeRegFileState reads a register file written by EncodeState.
 func DecodeRegFileState(r *snap.Reader) *RegFile {
-	rf := &RegFile{vals: isa.DecodeWords(r, maxRegs), full: r.Bools(maxRegs)}
-	if r.Err() == nil && len(rf.full) != len(rf.vals) {
-		r.Fail(fmt.Errorf("cluster: register file with %d values, %d scoreboard bits", len(rf.vals), len(rf.full)))
-	}
+	rf := &RegFile{}
+	isa.DecodeWordsInto(r, rf.vals[:])
+	rf.full = uint16(r.Mask(len(rf.vals)))
 	return rf
 }
 
 // Adopt copies src's state into rf in place.
-func (rf *RegFile) Adopt(src *RegFile) {
-	copy(rf.vals, src.vals)
-	copy(rf.full, src.full)
-}
+func (rf *RegFile) Adopt(src *RegFile) { *rf = *src }
 
 // EncodeState writes the GCC replica's values and scoreboard bits.
 func (g *GCCFile) EncodeState(w *snap.Writer) {
-	isa.EncodeWords(w, g.vals)
-	w.Bools(g.full)
+	isa.EncodeWords(w, g.vals[:])
+	w.Mask(len(g.vals), uint64(g.full))
 }
 
 // DecodeGCCFileState reads a GCC replica written by EncodeState.
 func DecodeGCCFileState(r *snap.Reader) *GCCFile {
-	g := &GCCFile{vals: isa.DecodeWords(r, maxRegs), full: r.Bools(maxRegs)}
-	if r.Err() == nil && len(g.full) != len(g.vals) {
-		r.Fail(fmt.Errorf("cluster: GCC replica with %d values, %d scoreboard bits", len(g.vals), len(g.full)))
-	}
+	g := &GCCFile{}
+	isa.DecodeWordsInto(r, g.vals[:])
+	g.full = uint8(r.Mask(len(g.vals)))
 	return g
 }
 
 // Adopt copies src's state into g in place.
-func (g *GCCFile) Adopt(src *GCCFile) {
-	copy(g.vals, src.vals)
-	copy(g.full, src.full)
-}
+func (g *GCCFile) Adopt(src *GCCFile) { *g = *src }
 
 // decodeProgramMemo decodes an embedded program, deduplicating by full
 // content within one stream: the runtime installs identical handler
@@ -108,7 +99,9 @@ func (h *HThread) EncodeState(w *snap.Writer) {
 	if h.Prog != nil {
 		w.Bool(true)
 		w.String(h.Prog.Name)
-		w.U64s(isa.EncodeProgram(h.Prog))
+		// Encode into the writer's staging buffer (U64s copies it out),
+		// so saving a thread does not allocate.
+		w.U64s(isa.AppendProgram(w.Stage(isa.ProgramWords(h.Prog))[:0], h.Prog))
 	} else {
 		w.Bool(false)
 	}
@@ -139,13 +132,8 @@ func DecodeHThreadState(r *snap.Reader) *HThread {
 	}
 	h.Ints = DecodeRegFileState(r)
 	h.FPs = DecodeRegFileState(r)
-	if r.Err() == nil {
-		if h.Ints.Len() != isa.NumIntRegs || h.FPs.Len() != isa.NumFPRegs {
-			r.Fail(fmt.Errorf("cluster: bad register file sizes %d/%d", h.Ints.Len(), h.FPs.Len()))
-		}
-		if h.Prog != nil && (h.PC < 0 || h.PC > len(h.Prog.Insts)) {
-			r.Fail(fmt.Errorf("cluster: PC %d outside program of %d instructions", h.PC, len(h.Prog.Insts)))
-		}
+	if r.Err() == nil && h.Prog != nil && (h.PC < 0 || h.PC > len(h.Prog.Insts)) {
+		r.Fail(fmt.Errorf("cluster: PC %d outside program of %d instructions", h.PC, len(h.Prog.Insts)))
 	}
 	return h
 }
@@ -182,13 +170,8 @@ func DecodeClusterState(r *snap.Reader, id int) *Cluster {
 	for i := range c.Threads {
 		c.Threads[i] = DecodeHThreadState(r)
 	}
-	if r.Err() == nil {
-		if c.LastIssued < -1 || c.LastIssued >= isa.NumVThreads {
-			r.Fail(fmt.Errorf("cluster: bad rotation point %d", c.LastIssued))
-		}
-		if len(c.GCC.vals) != isa.NumGCCRegs {
-			r.Fail(fmt.Errorf("cluster: bad GCC size %d", len(c.GCC.vals)))
-		}
+	if r.Err() == nil && (c.LastIssued < -1 || c.LastIssued >= isa.NumVThreads) {
+		r.Fail(fmt.Errorf("cluster: bad rotation point %d", c.LastIssued))
 	}
 	return c
 }

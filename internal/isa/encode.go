@@ -58,7 +58,10 @@ func decodeReg(w uint64) Reg {
 }
 
 // EncodeOp packs an operation into one or two words.
-func EncodeOp(op *Op) []uint64 {
+func EncodeOp(op *Op) []uint64 { return AppendOp(nil, op) }
+
+// AppendOp appends op's one or two encoded words to dst.
+func AppendOp(dst []uint64, op *Op) []uint64 {
 	w := uint64(op.Code) & 0x7F
 	if op.HasImm {
 		w |= 1 << 7
@@ -71,10 +74,18 @@ func EncodeOp(op *Op) []uint64 {
 	w |= encodeReg(op.Src2) << 33
 	if op.Imm >= immMin && op.Imm <= immMax {
 		w |= (uint64(op.Imm) & (1<<immBits - 1)) << 44
-		return []uint64{w}
+		return append(dst, w)
 	}
 	w |= 1 << 43
-	return []uint64{w, uint64(op.Imm)}
+	return append(dst, w, uint64(op.Imm))
+}
+
+// opWords is the encoded size of op.
+func opWords(op *Op) int {
+	if op.Imm >= immMin && op.Imm <= immMax {
+		return 1
+	}
+	return 2
 }
 
 // DecodeOp unpacks an operation, returning it and the number of words
@@ -116,7 +127,25 @@ func DecodeOp(ws []uint64) (*Op, int, error) {
 // EncodeProgram serializes a program to words: count, then per instruction
 // a control word and its operation words.
 func EncodeProgram(p *Program) []uint64 {
-	out := []uint64{uint64(len(p.Insts))}
+	return AppendProgram(make([]uint64, 0, ProgramWords(p)), p)
+}
+
+// ProgramWords is the length of p's encoding.
+func ProgramWords(p *Program) int {
+	n := 1 + len(p.Insts)
+	for i := range p.Insts {
+		for _, op := range [3]*Op{p.Insts[i].IOp, p.Insts[i].MOp, p.Insts[i].FOp} {
+			if op != nil {
+				n += opWords(op)
+			}
+		}
+	}
+	return n
+}
+
+// AppendProgram appends p's encoding (see EncodeProgram) to dst.
+func AppendProgram(dst []uint64, p *Program) []uint64 {
+	dst = append(dst, uint64(len(p.Insts)))
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		ctrl := uint64(0)
@@ -130,14 +159,14 @@ func EncodeProgram(p *Program) []uint64 {
 			ctrl |= 4
 		}
 		ctrl |= uint64(uint32(in.Line)) << 3
-		out = append(out, ctrl)
-		for _, op := range []*Op{in.IOp, in.MOp, in.FOp} {
+		dst = append(dst, ctrl)
+		for _, op := range [3]*Op{in.IOp, in.MOp, in.FOp} {
 			if op != nil {
-				out = append(out, EncodeOp(op)...)
+				dst = AppendOp(dst, op)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // DecodeProgram inverts EncodeProgram. Labels are not represented in the
@@ -148,7 +177,7 @@ func DecodeProgram(name string, ws []uint64) (*Program, error) {
 	}
 	n := int(ws[0])
 	ws = ws[1:]
-	p := &Program{Name: name, Labels: map[string]int{}}
+	var insts []Inst
 	for i := 0; i < n; i++ {
 		if len(ws) == 0 {
 			return nil, fmt.Errorf("isa: truncated program at instruction %d", i)
@@ -174,10 +203,10 @@ func DecodeProgram(name string, ws []uint64) (*Program, error) {
 				in.FOp = op
 			}
 		}
-		p.Insts = append(p.Insts, in)
+		insts = append(insts, in)
 	}
 	if len(ws) != 0 {
 		return nil, fmt.Errorf("isa: %d trailing words after program", len(ws))
 	}
-	return p, nil
+	return NewProgram(name, insts, map[string]int{}), nil
 }

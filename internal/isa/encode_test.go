@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -168,5 +169,38 @@ func TestDecodeErrors(t *testing.T) {
 	ws := append(EncodeProgram(p), 99)
 	if _, err := DecodeProgram("t", ws); err == nil {
 		t.Error("trailing words accepted")
+	}
+}
+
+// TestEncodeProgramSizedOnce pins the append-style encoder: the program
+// encoding is allocated once at its exact size, AppendOp extends a
+// caller's buffer with EncodeOp's words, and re-encoding a decoded
+// program reproduces the stream.
+func TestEncodeProgramSizedOnce(t *testing.T) {
+	p := NewProgram("t", []Inst{
+		{IOp: &Op{Code: MOVI, Dst: Int(1), Imm: 1 << 40, HasImm: true}, Line: 1},
+		{
+			IOp: &Op{Code: ADD, Dst: Int(2), Src1: Int(1), Imm: -5, HasImm: true},
+			MOp: &Op{Code: LD, Dst: Int(3), Src1: Int(1), Imm: 2},
+			FOp: &Op{Code: FADD, Dst: FP(1), Src1: FP(2), Src2: FP(3)},
+		},
+		{IOp: &Op{Code: HALT}},
+	}, map[string]int{})
+	ws := EncodeProgram(p)
+	if len(ws) != cap(ws) || len(ws) != ProgramWords(p) {
+		t.Errorf("encoding has len %d, cap %d, ProgramWords %d: want one exact allocation",
+			len(ws), cap(ws), ProgramWords(p))
+	}
+	got, err := DecodeProgram("t", ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := EncodeProgram(got); !slices.Equal(again, ws) {
+		t.Errorf("re-encoding differs:\n%x\n%x", again, ws)
+	}
+	op := p.Insts[0].IOp
+	prefix := []uint64{7}
+	if got := AppendOp(prefix, op); !slices.Equal(got, append([]uint64{7}, EncodeOp(op)...)) {
+		t.Errorf("AppendOp = %x, want 7 then %x", got, EncodeOp(op))
 	}
 }

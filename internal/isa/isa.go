@@ -360,10 +360,91 @@ func memOperand(base Reg, off int64) string {
 // operations in a single instruction issue together but may complete out of
 // order").
 type Inst struct {
+	// dec leads so the issue stage's ready check and op walk touch the
+	// first half of the 64-byte instruction.
+	dec Decoded `snap:"derived,predecoded from the ops by NewProgram"`
+
 	IOp  *Op
 	MOp  *Op
 	FOp  *Op
 	Line int // source line for diagnostics
+}
+
+// Decoded is an instruction's issue-stage predecode, computed once by
+// NewProgram. It is immutable afterwards: one Program is shared by every
+// machine that loads it (the memoized runtime's handlers, a compiled
+// scenario's generated programs, decodeProgramMemo's deduplicated
+// restores), and those machines may run concurrently.
+type Decoded struct {
+	// Plain marks an instruction whose readiness is exactly "every
+	// register in IntMask and FPMask is full": its operands and
+	// destinations are local integer and FP registers only, and no
+	// operation needs a queue, a C-Switch port, a send credit, a memory
+	// bank or a multi-register operand. Memory ops, SEND/SENDN,
+	// TLBW/MRETRY, EMPTY, any GCC or special-register operand, and any
+	// cross-cluster destination make an instruction non-plain.
+	Plain bool
+	// IntMask and FPMask have bit i set for every integer (FP) register i
+	// the instruction reads or writes. They are meaningful only when
+	// Plain is set.
+	IntMask uint16
+	FPMask  uint16
+
+	// Ops holds the populated operation slots in unit order; the first N
+	// are valid.
+	N   uint8
+	Ops [3]*Op
+}
+
+// The scoreboard masks are 16 bits wide.
+var _ [16 - NumIntRegs]struct{}
+var _ [16 - NumFPRegs]struct{}
+
+// Decoded returns the instruction's predecode. It is valid only for
+// instructions of a Program built by NewProgram.
+func (in *Inst) Decoded() *Decoded { return &in.dec }
+
+// predecode fills in.dec from the instruction's ops.
+func (in *Inst) predecode() {
+	d := Decoded{Plain: true}
+	for _, op := range [3]*Op{in.IOp, in.MOp, in.FOp} {
+		if op == nil {
+			continue
+		}
+		d.Ops[d.N] = op
+		d.N++
+		if !d.addPlain(op) {
+			d.Plain = false
+		}
+	}
+	if !d.Plain {
+		d.IntMask, d.FPMask = 0, 0
+	}
+	in.dec = d
+}
+
+// addPlain adds op's registers to the masks, reporting whether op's
+// readiness is fully described by them.
+func (d *Decoded) addPlain(op *Op) bool {
+	switch op.Code {
+	case LD, ST, LDSY, STSY, LDP, STP, SEND, SENDN, TLBW, MRETRY, EMPTY:
+		return false
+	}
+	if op.Dst.Class != RNone && op.Dst.Cluster != ClusterSelf {
+		return false
+	}
+	for _, r := range [3]Reg{op.Dst, op.Src1, op.Src2} {
+		switch {
+		case r.Class == RNone:
+		case r.Class == RInt && r.Index < NumIntRegs:
+			d.IntMask |= 1 << r.Index
+		case r.Class == RFP && r.Index < NumFPRegs:
+			d.FPMask |= 1 << r.Index
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Ops returns the populated operation slots in unit order.
@@ -415,11 +496,30 @@ func (in *Inst) String() string {
 // DecodeProgram embedded in the cluster stream), not field by field:
 // Name and Insts round-trip through that encoding; Labels are an
 // assembler artifact and are deliberately not preserved.
+//
+// A runnable Program is built by NewProgram, which predecodes every
+// instruction for the issue stage; neither the Program nor its
+// instructions may be mutated afterwards.
 type Program struct {
 	Name   string         `snap:"derived,round-trips via the EncodeProgram word form"`
 	Insts  []Inst         `snap:"derived,round-trips via the EncodeProgram word form"`
 	Labels map[string]int `snap:"derived,assembler artifact, deliberately dropped"` // label -> instruction index
+
+	predecoded bool `snap:"derived,set by NewProgram"`
 }
+
+// NewProgram builds a program from its instructions and predecodes each
+// one (Inst.Decoded). It takes ownership of insts. asm.Assemble,
+// DecodeProgram and the list scheduler all build their programs here.
+func NewProgram(name string, insts []Inst, labels map[string]int) *Program {
+	for i := range insts {
+		insts[i].predecode()
+	}
+	return &Program{Name: name, Insts: insts, Labels: labels, predecoded: true}
+}
+
+// Predecoded reports whether p was built by NewProgram.
+func (p *Program) Predecoded() bool { return p.predecoded }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.Insts) }

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestUnitOf(t *testing.T) {
@@ -190,5 +191,70 @@ func TestIntALUFallbackClassification(t *testing.T) {
 		if op.IsIntALU() {
 			t.Errorf("%s should not be an int-ALU op", op)
 		}
+	}
+}
+
+// TestPredecode pins the issue-stage predecode: the op array, and which
+// instructions are plain (readiness = their register masks all full) with
+// which masks. Every category the op-by-op walk treats specially must be
+// non-plain.
+func TestPredecode(t *testing.T) {
+	add := &Op{Code: ADD, Dst: Int(3), Src1: Int(1), Src2: Int(2)}
+	fmul := &Op{Code: FMUL, Dst: FP(4), Src1: FP(5), Src2: FP(5)}
+	itof := &Op{Code: ITOF, Dst: FP(1), Src1: Int(9)}
+	brt := &Op{Code: BRT, Src1: Int(5), Imm: 0}
+	cases := []struct {
+		name      string
+		in        Inst
+		plain     bool
+		ints, fps uint16
+	}{
+		{"alu+fp", Inst{IOp: add, FOp: fmul}, true, 1<<1 | 1<<2 | 1<<3, 1<<4 | 1<<5},
+		{"int-to-fp", Inst{MOp: itof}, true, 1 << 9, 1 << 1},
+		{"branch", Inst{IOp: brt}, true, 1 << 5, 0},
+		{"halt", Inst{IOp: &Op{Code: HALT}}, true, 0, 0},
+		{"empty instruction", Inst{}, true, 0, 0},
+		{"load", Inst{IOp: add, MOp: &Op{Code: LD, Dst: Int(4), Src1: Int(1)}}, false, 0, 0},
+		{"store", Inst{MOp: &Op{Code: ST, Src1: Int(1), Src2: Int(2)}}, false, 0, 0},
+		{"send", Inst{MOp: &Op{Code: SEND, Dst: Int(3), Src1: Int(1), Src2: Int(2), Imm: 1}}, false, 0, 0},
+		{"tlbw", Inst{MOp: &Op{Code: TLBW, Src1: Int(4)}}, false, 0, 0},
+		{"mretry", Inst{MOp: &Op{Code: MRETRY, Src1: Int(4)}}, false, 0, 0},
+		{"empty op", Inst{IOp: &Op{Code: EMPTY, Dst: Int(2)}}, false, 0, 0},
+		{"gcc source", Inst{IOp: &Op{Code: BRT, Src1: GCC(1)}}, false, 0, 0},
+		{"gcc destination", Inst{IOp: &Op{Code: EQ, Dst: GCC(1), Src1: Int(1), Src2: Int(2)}}, false, 0, 0},
+		{"net source", Inst{IOp: &Op{Code: MOV, Dst: Int(1), Src1: Spec(SpecNet)}}, false, 0, 0},
+		{"cross-cluster destination", Inst{IOp: &Op{Code: MOV, Dst: Remote(2, Int(1)), Src1: Int(3)}}, false, 0, 0},
+		{"own-cluster explicit destination", Inst{IOp: &Op{Code: MOV, Dst: Remote(0, Int(1)), Src1: Int(3)}}, false, 0, 0},
+	}
+	for _, c := range cases {
+		p := NewProgram(c.name, []Inst{c.in}, nil)
+		d := p.Insts[0].Decoded()
+		if d.Plain != c.plain || d.IntMask != c.ints || d.FPMask != c.fps {
+			t.Errorf("%s: plain=%v ints=%#x fps=%#x, want plain=%v ints=%#x fps=%#x",
+				c.name, d.Plain, d.IntMask, d.FPMask, c.plain, c.ints, c.fps)
+		}
+		if want := c.in.Ops(); int(d.N) != len(want) {
+			t.Errorf("%s: %d predecoded ops, want %d", c.name, d.N, len(want))
+		} else {
+			for i := range want {
+				if d.Ops[i] != want[i] {
+					t.Errorf("%s: op %d is not the instruction's own op", c.name, i)
+				}
+			}
+		}
+	}
+	if (&Program{}).Predecoded() || !NewProgram("p", nil, nil).Predecoded() {
+		t.Error("Predecoded must report exactly the NewProgram-built programs")
+	}
+}
+
+// TestInstLayout pins the instruction at one 64-byte cache line on 64-bit
+// hosts, with the predecode leading (the issue stage reads it first).
+func TestInstLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Inst{}) != 64 {
+		t.Errorf("Inst is %d bytes, want 64", unsafe.Sizeof(Inst{}))
+	}
+	if unsafe.Offsetof(Inst{}.dec) != 0 {
+		t.Errorf("predecode at offset %d, want 0", unsafe.Offsetof(Inst{}.dec))
 	}
 }

@@ -6,7 +6,11 @@ package isa
 // the pointer tags as a bitmask — three bulk transfers instead of two
 // tiny reads per word, which is what keeps restore (and Fork) cheap.
 
-import "repro/internal/snap"
+import (
+	"fmt"
+
+	"repro/internal/snap"
+)
 
 // EncodeWords writes ws in the packed block form. Both blocks stage
 // through the writer's reusable buffer (RawU64s copies the staged words
@@ -28,18 +32,41 @@ func EncodeWords(w *snap.Writer, ws []Word) {
 }
 
 // DecodeWords reads a slice written by EncodeWords, bounded by max
-// entries. The bit block is copied into the result before the reader's
-// staging buffer is reused for the pointer mask.
+// entries.
 func DecodeWords(r *snap.Reader, max int) []Word {
 	n := r.Len(max)
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
 	ws := make([]Word, n)
+	if !decodeWordBlocks(r, ws) {
+		return nil
+	}
+	return ws
+}
+
+// DecodeWordsInto reads a slice written by EncodeWords into dst, which
+// must be exactly the encoded length: fixed-size state (a register file)
+// decodes in place, without allocating.
+func DecodeWordsInto(r *snap.Reader, dst []Word) {
+	n := r.Len(len(dst))
+	if r.Err() == nil && n != len(dst) {
+		r.Fail(fmt.Errorf("isa: %d encoded words where %d are expected", n, len(dst)))
+	}
+	if r.Err() == nil {
+		decodeWordBlocks(r, dst)
+	}
+}
+
+// decodeWordBlocks fills ws from the bit and pointer-mask blocks. The bit
+// block is copied into ws before the reader's staging buffer is reused
+// for the pointer mask.
+func decodeWordBlocks(r *snap.Reader, ws []Word) bool {
+	n := len(ws)
 	bits := r.Stage(n)
 	r.RawU64s(bits)
 	if r.Err() != nil {
-		return nil
+		return false
 	}
 	for i := range ws {
 		ws[i].Bits = bits[i]
@@ -47,10 +74,10 @@ func DecodeWords(r *snap.Reader, max int) []Word {
 	ptrs := r.Stage((n + 63) / 64)
 	r.RawU64s(ptrs)
 	if r.Err() != nil {
-		return nil
+		return false
 	}
 	for i := range ws {
 		ws[i].Ptr = ptrs[i/64]&(1<<(i%64)) != 0
 	}
-	return ws
+	return true
 }

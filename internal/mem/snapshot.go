@@ -275,7 +275,9 @@ func (m *System) EncodeState(w *snap.Writer) {
 // detached scratch system built from cfg. The earliest-deadline cache is
 // recomputed from the decoded in-flight set.
 func DecodeSystemState(r *snap.Reader, cfg Config) *System {
-	m := NewSystem(cfg)
+	// Not NewSystem: the SDRAM, cache and LTLB are decoded below, and a
+	// constructed cache would be a throwaway 2048-line allocation.
+	m := &System{cfg: cfg, earliest: NoEvent}
 	n := r.Len(maxInflight)
 	for i := 0; i < n; i++ {
 		resp := Response{

@@ -262,7 +262,7 @@ func Schedule(g *Graph, cfg Config) (*isa.Program, error) {
 		cycle++
 	}
 	insts = append(insts, isa.Inst{IOp: &isa.Op{Code: isa.HALT}})
-	return &isa.Program{Name: "sched", Insts: insts, Labels: map[string]int{}}, nil
+	return isa.NewProgram("sched", insts, map[string]int{}), nil
 }
 
 // availAt returns the first instruction slot n may occupy: strictly after

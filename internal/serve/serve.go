@@ -416,6 +416,7 @@ func (sv *Server) worker() {
 	defer sv.wg.Done()
 	for s := range sv.queue {
 		sv.runSession(s)
+		s.release()
 	}
 }
 

@@ -85,6 +85,15 @@ func TestSubmitAndComplete(t *testing.T) {
 	if _, err := os.Stat(ckptPath(sv.cfg.Spool, s.ID)); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after completion: %v", err)
 	}
+	// The server keeps the finished session but not its compile state:
+	// once the worker is done (Drain waits for it), only the results stay.
+	sv.Drain()
+	if s.sc != nil || s.source != "" {
+		t.Error("finished session still holds its compiled scenario and source")
+	}
+	if again := s.Info(); again.Digest != info.Digest || again.State != StateDone {
+		t.Errorf("finished session info changed after release: %+v", again)
+	}
 }
 
 // digestOf runs a scenario to completion on sv and returns its digest.

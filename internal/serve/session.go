@@ -122,6 +122,15 @@ type Session struct {
 	done   chan struct{} // closed on reaching a Terminal state
 }
 
+// release drops the compiled scenario and its source once the session's
+// worker is done with it. A session never runs again in this process
+// after runSession returns — it is terminal, or suspended until a later
+// boot recompiles it from the spool — but the server keeps it for /wait
+// and the list views, and a compiled scenario (parse tree and plan) is
+// most of a finished session's memory. Only the worker that ran the
+// session touches these fields.
+func (s *Session) release() { s.sc, s.source = nil, "" }
+
 func newSession(id string, seq uint64, name, source string, sc *core.Scenario,
 	wall time.Duration, cycleBudget int64) *Session {
 	return &Session{

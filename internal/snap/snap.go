@@ -121,13 +121,15 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // Int writes an int as a signed 64-bit word.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
-// Bool writes a boolean as one byte.
+// Bool writes a boolean as one byte. The byte goes out through the
+// writer's own buffer: a fresh slice would escape through the io.Writer
+// and allocate on every call.
 func (w *Writer) Bool(v bool) {
-	b := byte(0)
+	w.buf[0] = 0
 	if v {
-		b = 1
+		w.buf[0] = 1
 	}
-	w.write([]byte{b})
+	w.write(w.buf[:1])
 }
 
 // Len writes a slice length (the counterpart of Reader.Len).
@@ -139,8 +141,15 @@ func (w *Writer) Bytes(p []byte) {
 	w.write(p)
 }
 
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
+// String writes a length-prefixed string, copying it through the
+// reusable bulk buffer so the conversion does not allocate.
+func (w *Writer) String(s string) {
+	w.Len(len(s))
+	if cap(w.scratch) < len(s) {
+		w.scratch = make([]byte, len(s))
+	}
+	w.write(append(w.scratch[:0], s...))
+}
 
 // U64s writes a length-prefixed slice of unsigned words in one Write.
 func (w *Writer) U64s(vs []uint64) {
@@ -178,6 +187,15 @@ func (w *Writer) Bools(bs []bool) {
 		}
 	}
 	w.RawU64s(words)
+}
+
+// Mask writes an n-entry boolean slice (n <= 64) whose entry i is bit i
+// of bits, in exactly the Bools format, for state kept as a bitmask.
+func (w *Writer) Mask(n int, bits uint64) {
+	w.Len(n)
+	if n > 0 {
+		w.U64(bits)
+	}
 }
 
 // maxPrealloc caps how many bytes any decode may allocate ahead of the
@@ -394,6 +412,24 @@ func (r *Reader) Bools(max int) []bool {
 		}
 	}
 	return bs
+}
+
+// Mask reads a boolean slice written by Writer.Bools or Writer.Mask that
+// must hold exactly n entries (n <= 64), returning entry i as bit i. Bits
+// past n are dropped, as Bools drops them.
+func (r *Reader) Mask(n int) uint64 {
+	got := r.Len(64)
+	if r.err != nil {
+		return 0
+	}
+	if got != n {
+		r.Fail(fmt.Errorf("snap: %d-entry mask where %d entries are expected", got, n))
+		return 0
+	}
+	if n == 0 {
+		return 0
+	}
+	return r.U64() & (1<<n - 1)
 }
 
 // RawU64s fills dst with exactly len(dst) words (no length prefix). The

@@ -259,3 +259,66 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("relative write: %q, %v", got, err)
 	}
 }
+
+// TestWriterPrimitivesNoAllocs pins the per-call allocation budget of the
+// scalar writers every Save and Digest runs thousands of times: a byte
+// slice handed to the io.Writer escapes, so each primitive must write
+// from the Writer's own buffers.
+func TestWriterPrimitivesNoAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	w.String("warm up the bulk buffer")
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Bool", func() { w.Bool(true) }},
+		{"U64", func() { w.U64(42) }},
+		{"String", func() { w.String("thread") }},
+		{"Mask", func() { w.Mask(16, 0xbeef) }},
+	} {
+		if avg := testing.AllocsPerRun(100, c.f); avg != 0 {
+			t.Errorf("Writer.%s allocates %.1f objects per call, want 0", c.name, avg)
+		}
+	}
+}
+
+// TestMaskMatchesBools pins Mask as a drop-in for Bools: the same bytes
+// on the wire, read back by either reader, with bits past n dropped.
+func TestMaskMatchesBools(t *testing.T) {
+	for _, n := range []int{0, 1, 8, 16, 63, 64} {
+		bools := make([]bool, n)
+		var bits uint64
+		for i := range bools {
+			if i%3 != 1 {
+				bools[i] = true
+				bits |= 1 << i
+			}
+		}
+		var a, b bytes.Buffer
+		NewWriter(&a).Bools(bools)
+		NewWriter(&b).Mask(n, bits)
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("n=%d: Mask wrote %x, Bools wrote %x", n, b.Bytes(), a.Bytes())
+		}
+		r := NewReader(bytes.NewReader(a.Bytes()))
+		if got := r.Mask(n); got != bits || r.Err() != nil {
+			t.Errorf("n=%d: Mask read %#x (%v), want %#x", n, got, r.Err(), bits)
+		}
+	}
+	// Entries past n are ignored, as Bools ignores them.
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Len(4)
+	w.U64(0xff)
+	if got := NewReader(&buf).Mask(4); got != 0xf {
+		t.Errorf("Mask kept bits past n: %#x", got)
+	}
+	// A count other than the expected one fails.
+	buf.Reset()
+	NewWriter(&buf).Mask(8, 1)
+	r := NewReader(&buf)
+	r.Mask(16)
+	if r.Err() == nil {
+		t.Error("Mask accepted an 8-entry slice where 16 entries are expected")
+	}
+}
