@@ -60,11 +60,16 @@ race:
 	$(GO) test -race -short ./...
 
 # Checkpoint round-trip gate, in its own invocation so a snapshot
-# regression is named in CI output: the engine-pair determinism matrix
-# (run -> snapshot -> continue vs restore -> continue, bit-identical
-# including trace streams), the corrupt/truncated/wrong-version error
-# paths, and an end-to-end msim -save / -restore round trip.
+# regression is named in CI output: the snap codec's own tests (the
+# sparse block-mask primitive's round trips, bad masks and truncation
+# included), the SDRAM chunk and cache-line codec round trips, the
+# engine-pair determinism matrix (run -> snapshot -> continue vs
+# restore -> continue, bit-identical including trace streams), the
+# corrupt/truncated/wrong-version error paths, and an end-to-end msim
+# -save / -restore round trip.
 checkpoint:
+	$(GO) test -count=1 ./internal/snap
+	$(GO) test -run 'TestSDRAM|TestCacheFieldRoundTrip' -count=1 ./internal/mem
 	$(GO) test -run 'TestSnapshot|TestDoubleClose|TestRestoredBoot|TestSimFork|TestSimRestore' -count=1 ./internal/machine ./internal/core
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/msim -save $$tmp/ci.snap testdata/fib.masm >$$tmp/a.out && \
@@ -129,7 +134,7 @@ hostbench:
 # Native fuzzing smoke over the snapshot decoder (corrupt stream =>
 # descriptive error, never a panic, never a half-mutated machine;
 # minimization is capped so the 10s budget is spent fuzzing rather than
-# shrinking ~100KB snapshot inputs) and the DSL front end (arbitrary
+# shrinking snapshot inputs of tens of KBytes) and the DSL front end (arbitrary
 # source => positional error or a valid lowering, never a panic; the
 # checked-in corpus slants toward the sweep/grant parser paths).
 fuzz-smoke:

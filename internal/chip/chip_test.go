@@ -1,6 +1,8 @@
 package chip_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,11 +11,13 @@ import (
 	"repro/internal/asm"
 	"repro/internal/chip"
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/gtlb"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/snap"
 )
 
 // newChip builds a single standalone chip on a 2x1x1 mesh with a GDT
@@ -598,5 +602,64 @@ func setFull(rf *cluster.RegFile, i int, full bool) {
 		rf.Set(i, rf.Get(i))
 	} else {
 		rf.MarkEmpty(i)
+	}
+}
+
+// TestDecodedChipWiredAsNew pins that DecodeChipState returns a chip
+// wired as New wires one, which Fork relies on when it steps decoded
+// chips directly: every hardware queue has New's bound, the GTLB refills
+// from the GDT it was given, and the console is attached to the I/O bus.
+func TestDecodedChipWiredAsNew(t *testing.T) {
+	cfg := chip.DefaultConfig()
+	cfg.EventQueueCap, cfg.MsgQueueCap = 3*events.RecordWords, 6
+	net, gdt := twoNodeNetGdt(t, cfg)
+	c := chip.New(cfg, net.CoordOf(0), 0, net, gdt)
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	c.EncodeState(w)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	r := snap.NewReader(&buf)
+	d := chip.DecodeChipState(r, cfg, net.CoordOf(0), 0, net, gdt)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A queue's bound shows as the number of records it accepts.
+	fill := func(q *events.Queue) int {
+		n := 0
+		for n < 100 && q.Push(events.Record{}) {
+			n++
+		}
+		return n
+	}
+	queues := map[string]func(*chip.Chip) *events.Queue{
+		"exception": (*chip.Chip).ExcQueue,
+		"msg0":      func(c *chip.Chip) *events.Queue { return c.MsgQueue(0) },
+		"msg1":      func(c *chip.Chip) *events.Queue { return c.MsgQueue(1) },
+	}
+	for cl := 0; cl < isa.NumClusters; cl++ {
+		queues[fmt.Sprintf("event%d", cl)] = func(c *chip.Chip) *events.Queue { return c.EventQueue(cl) }
+	}
+	for name, q := range queues {
+		if got, want := fill(q(d)), fill(q(c)); got != want {
+			t.Errorf("%s queue: decoded chip accepts %d records, New's %d", name, got, want)
+		}
+	}
+
+	if got, err := d.GTLB.Translate(64); err != nil || got != (gtlb.NodeID{X: 1}) {
+		t.Errorf("decoded GTLB translates to %v (%v), want node {1 0 0} from the GDT", got, err)
+	}
+
+	load(t, d, 0, 0, fmt.Sprintf(`
+    movi i1, #%d
+    movi i2, #42
+    stp [i1+1], i2
+    halt
+`, d.ConsoleBase()), true)
+	stepUntilHalt(t, d, 0, 0, 200)
+	if got := d.Console.String(); got != "42\n" {
+		t.Errorf("decoded chip's console printed %q, want \"42\\n\"", got)
 	}
 }

@@ -165,12 +165,14 @@ func (c *Chip) EncodeState(w *snap.Writer) {
 	c.Mem.EncodeState(w)
 }
 
-// DecodeChipState reads a chip written by EncodeState into a detached
-// scratch chip. net is only consulted for shape validation and message
-// decoding; the scratch chip is never stepped, so it is assembled
+// DecodeChipState reads a chip written by EncodeState. The result is a
+// complete chip, wired as New wires one — bound to net and gdt, queues
+// bounded by cfg, the console attached to the I/O bus — but assembled
 // directly from the decoded parts instead of going through New (whose
-// memory system and cache the decode would immediately replace).
-func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net *noc.Network) *Chip {
+// memory system and cache the decode would immediately replace). Restore
+// uses it as detached scratch and adopts it into a live chip; Fork steps
+// it as is.
+func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net *noc.Network, gdt *gtlb.Table) *Chip {
 	c := &Chip{
 		Cfg:         cfg,
 		Node:        node,
@@ -194,13 +196,13 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 	for i := range c.Clusters {
 		c.Clusters[i] = cluster.DecodeClusterState(r, i)
 	}
-	c.excq = events.DecodeQueueState(r)
+	c.excq = events.DecodeQueueState(r, cfg.EventQueueCap)
 	for i := range c.evq {
-		c.evq[i] = events.DecodeQueueState(r)
+		c.evq[i] = events.DecodeQueueState(r, cfg.EventQueueCap)
 	}
-	for i := range c.msgq {
-		c.msgq[i] = events.DecodeQueueState(r)
-	}
+	// The same bounds New gives the message queues.
+	c.msgq[0] = events.DecodeQueueState(r, cfg.MsgQueueCap)
+	c.msgq[1] = events.DecodeQueueState(r, 0)
 
 	np := r.Len(maxPending)
 	for i := 0; i < np; i++ {
@@ -291,8 +293,9 @@ func DecodeChipState(r *snap.Reader, cfg Config, node noc.Coord, index int, net 
 
 	c.Console.buf = r.Bytes(maxConsole)
 
-	c.GTLB = gtlb.DecodeGTLBState(r, 16)
+	c.GTLB = gtlb.DecodeGTLBState(r, gdt, 16)
 	c.Mem = mem.DecodeSystemState(r, cfg.Mem)
+	c.Mem.AttachDevice(c.ConsoleBase(), ConsoleWords, c.Console)
 	if r.Err() == nil {
 		// Cross-check the decoded memory system against the routing
 		// metadata: every in-flight response must have a request entry

@@ -2,8 +2,8 @@ package events
 
 // Checkpoint support (DESIGN.md, "Checkpoint/restore"): EncodeState
 // streams the live queue contents and statistics, DecodeQueueState
-// rebuilds a detached scratch queue, and Adopt commits a scratch into a
-// live queue in place, keeping the live queue's configured capacity.
+// rebuilds a queue, and Adopt commits a decoded queue into a live queue in
+// place, keeping the live queue's configured capacity.
 
 import (
 	"repro/internal/isa"
@@ -22,10 +22,11 @@ func (q *Queue) EncodeState(w *snap.Writer) {
 	w.Int(q.HighWater)
 }
 
-// DecodeQueueState reads a queue written by EncodeState. The scratch
-// queue carries no capacity; Adopt preserves the live queue's.
-func DecodeQueueState(r *snap.Reader) *Queue {
-	q := &Queue{words: isa.DecodeWords(r, maxQueueWords)}
+// DecodeQueueState reads a queue written by EncodeState, bounded to
+// capacity as NewQueue bounds one. Adopt keeps the live queue's own
+// capacity.
+func DecodeQueueState(r *snap.Reader, capacity int) *Queue {
+	q := &Queue{words: isa.DecodeWords(r, maxQueueWords), cap: capacity}
 	q.Enqueued = r.U64()
 	q.Dropped = r.U64()
 	q.HighWater = r.Int()

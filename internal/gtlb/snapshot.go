@@ -78,10 +78,10 @@ func (g *GTLB) EncodeState(w *snap.Writer) {
 	w.U64(g.Misses)
 }
 
-// DecodeGTLBState reads a GTLB written by EncodeState. The scratch cache
-// has no backing GDT; Adopt preserves the live one's.
-func DecodeGTLBState(r *snap.Reader, capacity int) *GTLB {
-	g := &GTLB{capacity: capacity}
+// DecodeGTLBState reads a GTLB written by EncodeState, backed by gdt as
+// New backs one. Adopt keeps the live cache's own GDT.
+func DecodeGTLBState(r *snap.Reader, gdt *Table, capacity int) *GTLB {
+	g := &GTLB{gdt: gdt, capacity: capacity}
 	n := r.Len(maxEntries)
 	for i := 0; i < n; i++ {
 		g.resident = append(g.resident, decodeEntry(r))

@@ -148,26 +148,33 @@ func AllocBasePPN(c mem.Config) uint64 {
 // network and GDT.
 func New(cfg Config) *Machine {
 	net := noc.New(cfg.Dims, cfg.Chip.Net)
-	gdt := &gtlb.Table{}
-	m := &Machine{
-		Cfg:         cfg,
-		Net:         net,
-		GDT:         gdt,
-		Chips:       make([]*chip.Chip, net.NumNodes()),
-		nextPPN:     make([]uint64, net.NumNodes()),
-		arrivalMark: make([]bool, net.NumNodes()),
-		chipRunning: make([]int, net.NumNodes()),
-		chipBusy:    make([]bool, net.NumNodes()),
-		chipIssued:  make([]uint64, net.NumNodes()),
-	}
+	m := assemble(cfg, net, &gtlb.Table{})
 	for i := range m.Chips {
-		c := chip.New(cfg.Chip, net.CoordOf(i), i, net, gdt)
+		c := chip.New(cfg.Chip, net.CoordOf(i), i, net, m.GDT)
 		// Initialize the runtime page allocator counter.
 		c.Mem.SDRAM.Write(AllocCounterAddr(cfg.Chip.Mem), AllocBasePPN(cfg.Chip.Mem), false)
 		m.Chips[i] = c
 		m.nextPPN[i] = FirstMapPPN
 	}
 	return m
+}
+
+// assemble allocates a machine around net and gdt with its per-node
+// bookkeeping; the caller fills in the chips (New builds them, Fork
+// decodes them).
+func assemble(cfg Config, net *noc.Network, gdt *gtlb.Table) *Machine {
+	n := net.NumNodes()
+	return &Machine{
+		Cfg:         cfg,
+		Net:         net,
+		GDT:         gdt,
+		Chips:       make([]*chip.Chip, n),
+		nextPPN:     make([]uint64, n),
+		arrivalMark: make([]bool, n),
+		chipRunning: make([]int, n),
+		chipBusy:    make([]bool, n),
+		chipIssued:  make([]uint64, n),
+	}
 }
 
 // Close ends the machine's session. It is safe to call concurrently with

@@ -80,7 +80,7 @@ func (m *Machine) AdoptShard(r io.Reader, lo, hi int) (int64, error) {
 	}
 	scratch := make([]*chip.Chip, hi-lo)
 	for i := range scratch {
-		scratch[i] = chip.DecodeChipState(sr, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net)
+		scratch[i] = chip.DecodeChipState(sr, m.Cfg.Chip, m.Net.CoordOf(lo+i), lo+i, m.Net, m.GDT)
 	}
 	if t := sr.U64(); sr.Err() == nil && t != shardFrameTrailer {
 		sr.Fail(fmt.Errorf("machine: shard frame trailer missing (stream corrupt)"))

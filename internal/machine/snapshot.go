@@ -32,8 +32,10 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version. Restore rejects
-// any other version; the format has no cross-version migration.
-const SnapshotVersion = 1
+// any other version; the format has no cross-version migration. Version 2
+// writes SDRAM chunks as sparse block-masked arrays (snap.Writer.Sparse)
+// and each cache line's pointer tags as one mask word.
+const SnapshotVersion = 2
 
 // Magic words bracketing a snapshot stream ("MSIMSNAP" / "MSIMEND\n" as
 // little-endian words): the header identifies the format before anything
@@ -161,6 +163,57 @@ func (m *Machine) Save(w io.Writer) error {
 	return nil
 }
 
+// decodedState is a snapshot stream decoded into detached components:
+// the scratch Restore validates and then adopts into a live machine, and
+// the parts Fork builds its clone from.
+type decodedState struct {
+	cycle   int64
+	nextPPN []uint64
+	gdt     *gtlb.Table
+	chips   []*chip.Chip
+	net     *noc.Network
+}
+
+// decodeState reads a stream written by Save for a machine of
+// configuration cfg. The chips are decoded bound to net and to the
+// decoded GDT; the network section decodes into separate scratch, since
+// the chips need their network before the stream reaches it. Every
+// validation error comes back here, before a caller touches anything.
+func decodeState(r *snap.Reader, cfg Config, net *noc.Network) (*decodedState, error) {
+	if magic := r.U64(); r.Err() == nil && magic != snapshotMagic {
+		return nil, fmt.Errorf("not a snapshot stream (bad magic %#x)", magic)
+	}
+	if v := r.U64(); r.Err() == nil && v != SnapshotVersion {
+		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion)
+	}
+	if sc := decodeConfig(r); r.Err() == nil && (sc.Dims != cfg.Dims || sc.Chip != cfg.Chip) {
+		return nil, fmt.Errorf("snapshot of a %v mesh with a different configuration cannot restore into this %v machine",
+			sc.Dims, cfg.Dims)
+	}
+	nodes := net.NumNodes()
+	st := &decodedState{cycle: r.I64()}
+	st.nextPPN = make([]uint64, r.Len(nodes))
+	if r.Err() == nil && len(st.nextPPN) != nodes {
+		r.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", len(st.nextPPN), nodes))
+	}
+	for i := range st.nextPPN {
+		st.nextPPN[i] = r.U64()
+	}
+	st.gdt = gtlb.DecodeTableState(r)
+	st.chips = make([]*chip.Chip, nodes)
+	for i := range st.chips {
+		st.chips[i] = chip.DecodeChipState(r, cfg.Chip, net.CoordOf(i), i, net, st.gdt)
+	}
+	st.net = noc.DecodeNetworkState(r, cfg.Dims, cfg.Chip.Net)
+	if t := r.U64(); r.Err() == nil && t != snapshotTrailer {
+		r.Fail(fmt.Errorf("machine: snapshot trailer missing (stream corrupt)"))
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // Restore replaces the machine's simulation state with a snapshot written
 // by Save. The target must have the same mesh shape and chip
 // configuration as the saved machine (the snapshot carries both and
@@ -168,52 +221,23 @@ func (m *Machine) Save(w io.Writer) error {
 // callbacks, and fault probe of the target are preserved. On any error
 // the machine is left untouched.
 func (m *Machine) Restore(rd io.Reader) error {
-	r := snap.NewReader(bufio.NewReader(rd))
-	if magic := r.U64(); r.Err() == nil && magic != snapshotMagic {
-		return fmt.Errorf("machine: restore: not a snapshot stream (bad magic %#x)", magic)
-	}
-	if v := r.U64(); r.Err() == nil && v != SnapshotVersion {
-		return fmt.Errorf("machine: restore: unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion)
-	}
-	cfg := decodeConfig(r)
-	if r.Err() == nil && (cfg.Dims != m.Cfg.Dims || cfg.Chip != m.Cfg.Chip) {
-		return fmt.Errorf("machine: restore: snapshot of a %v mesh with a different configuration cannot restore into this %v machine",
-			cfg.Dims, m.Cfg.Dims)
-	}
-
 	// Phase 1: decode everything into detached scratch state. All
-	// validation happens against the reader's sticky error; nothing below
+	// validation happens against the reader's sticky error; nothing here
 	// touches the live machine.
-	cycle := r.I64()
-	nppn := make([]uint64, r.Len(len(m.Chips)))
-	if r.Err() == nil && len(nppn) != len(m.Chips) {
-		r.Fail(fmt.Errorf("machine: snapshot has %d page allocators for %d nodes", len(nppn), len(m.Chips)))
-	}
-	for i := range nppn {
-		nppn[i] = r.U64()
-	}
-	gdt := gtlb.DecodeTableState(r)
-	chips := make([]*chip.Chip, len(m.Chips))
-	for i := range chips {
-		chips[i] = chip.DecodeChipState(r, m.Cfg.Chip, m.Net.CoordOf(i), i, m.Net)
-	}
-	net := noc.DecodeNetworkState(r, m.Cfg.Dims, m.Cfg.Chip.Net)
-	if t := r.U64(); r.Err() == nil && t != snapshotTrailer {
-		r.Fail(fmt.Errorf("machine: snapshot trailer missing (stream corrupt)"))
-	}
-	if err := r.Err(); err != nil {
+	st, err := decodeState(snap.NewReader(bufio.NewReader(rd)), m.Cfg, m.Net)
+	if err != nil {
 		return fmt.Errorf("machine: restore: %w", err)
 	}
 
 	// Phase 2: commit. Adopt the scratch state in place — infallible from
 	// here on.
-	m.Cycle = cycle
-	copy(m.nextPPN, nppn)
-	m.GDT.Adopt(gdt)
+	m.Cycle = st.cycle
+	copy(m.nextPPN, st.nextPPN)
+	m.GDT.Adopt(st.gdt)
 	for i, c := range m.Chips {
-		c.Adopt(chips[i])
+		c.Adopt(st.chips[i])
 	}
-	m.Net.Adopt(net)
+	m.Net.Adopt(st.net)
 	// Re-derive the engine caches: touch every chip and rebuild the
 	// arrival tracking and the run-loop activity counters from the
 	// adopted state.
@@ -226,15 +250,30 @@ func (m *Machine) Restore(rd io.Reader) error {
 // identical simulation state and engine configuration but no trace
 // callbacks, and evolves independently of the original (what-if runs,
 // record/replay debugging). The caller owns the clone's Close.
+//
+// The clone is built from the decoded components themselves — chips,
+// GDT and network state — rather than by New followed by Restore, which
+// would construct every chip's memory system and 2048-line cache only to
+// replace them.
 func (m *Machine) Fork() (*Machine, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		return nil, fmt.Errorf("machine: fork: %w", err)
 	}
-	f := New(m.Cfg)
-	f.Naive = m.Naive
-	if err := f.Restore(&buf); err != nil {
+	r := snap.NewReader(&buf)
+	r.Limit(int64(buf.Len()))
+	net := noc.New(m.Cfg.Dims, m.Cfg.Chip.Net)
+	st, err := decodeState(r, m.Cfg, net)
+	if err != nil {
 		return nil, fmt.Errorf("machine: fork: %w", err)
 	}
+	f := assemble(m.Cfg, net, st.gdt)
+	f.Naive = m.Naive
+	f.Cycle = st.cycle
+	copy(f.nextPPN, st.nextPPN)
+	copy(f.Chips, st.chips)
+	net.Adopt(st.net)
+	f.WakeAll()
+	f.recomputeActive()
 	return f, nil
 }

@@ -3,6 +3,7 @@ package machine_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +18,7 @@ func (r machineRunner) RunPhase(n int64) (int64, error) { return r.m.Run(n) }
 // stagedSweepMachine runs the shared staging prefix of
 // testdata/workloads/sweepexchange.wl, the state a sweep forks once per
 // point.
-func stagedSweepMachine(b *testing.B) *machine.Machine {
+func stagedSweepMachine(b testing.TB) *machine.Machine {
 	sc, err := core.ScenarioFromFile("../../testdata/workloads/sweepexchange.wl")
 	if err != nil {
 		b.Fatal(err)
@@ -35,10 +36,51 @@ func stagedSweepMachine(b *testing.B) *machine.Machine {
 	return s.M
 }
 
+// TestSnapshotStagedSize bounds the snapshot of the staged sweep
+// machine, the stream every sweep point's Fork writes and reads: SDRAM
+// chunks go out as their non-zero blocks only, so the 4-node machine's
+// few hundred touched words cost tens of KBytes, not 64 KBytes a chunk.
+func TestSnapshotStagedSize(t *testing.T) {
+	var buf bytes.Buffer
+	if err := stagedSweepMachine(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if max := 96 << 10; buf.Len() >= max {
+		t.Errorf("staged sweep snapshot is %d bytes, want under %d", buf.Len(), max)
+	}
+}
+
+// TestSnapshotForkAllocBytes bounds the bytes one Fork of the staged
+// sweep machine allocates. The clone is built from the decoded chips, so
+// each node pays for one 2048-line cache array — the decoded one — and no
+// cache is built by New only to be replaced.
+func TestSnapshotForkAllocBytes(t *testing.T) {
+	m := stagedSweepMachine(t)
+	fork := func() {
+		f, err := m.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	fork() // warm the per-stream memo and the writer buffers' paths
+	const forks = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < forks; i++ {
+		fork()
+	}
+	runtime.ReadMemStats(&after)
+	if per, max := (after.TotalAlloc-before.TotalAlloc)/forks, uint64(2500<<10); per >= max {
+		t.Errorf("Fork allocates %d bytes, want under %d", per, max)
+	}
+}
+
 // BenchmarkSnapshot measures the snapshot layer (DESIGN.md,
 // "Checkpoint/restore") on a staged machine: Save to io.Discard, Digest
-// (Save through sha256), Restore into a live machine, and Fork (Save +
-// New + Restore, what a sweep pays per point). Run with -benchmem.
+// (Save through sha256), Restore into a live machine, and Fork (Save
+// plus a decode the clone is built from, what a sweep pays per point).
+// Run with -benchmem.
 func BenchmarkSnapshot(b *testing.B) {
 	m := stagedSweepMachine(b)
 	var stream bytes.Buffer

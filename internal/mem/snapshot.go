@@ -4,9 +4,9 @@ package mem
 // system's complete timed state — sparse SDRAM chunks with their
 // pointer-tag and synchronization bitmaps, cache lines, LTLB entries and
 // FIFO order, in-flight responses, and the bank/SDRAM timing windows.
-// EncodeState streams, DecodeSystemState rebuilds a detached scratch
-// system (all validation happens here), and Adopt commits a scratch into
-// a live system in place, preserving its configuration and I/O-bus device
+// EncodeState streams, DecodeSystemState rebuilds a system (all
+// validation happens here), and Adopt commits a decoded system into a
+// live one in place, preserving its configuration and I/O-bus device
 // attachment.
 
 import (
@@ -24,7 +24,9 @@ const (
 
 // EncodeState writes the SDRAM's row-mode state, statistics, and the
 // materialized chunks (lazy chunks that were never written are omitted —
-// they read as zero either way).
+// they read as zero either way). Each chunk's data words, pointer-tag
+// bitmap and sync bitmap go out as snap.Writer.Sparse arrays, so a chunk
+// costs its non-zero 64-word blocks, not its 64 KBytes.
 func (s *SDRAM) EncodeState(w *snap.Writer) {
 	w.U64(s.openRow)
 	w.Bool(s.hasOpen)
@@ -42,9 +44,9 @@ func (s *SDRAM) EncodeState(w *snap.Writer) {
 			continue
 		}
 		w.Int(i)
-		w.RawU64s(ch.words[:])
-		w.RawU64s(ch.ptr[:])
-		w.RawU64s(ch.sync[:])
+		w.Sparse(ch.words[:])
+		w.Sparse(ch.ptr[:])
+		w.Sparse(ch.sync[:])
 	}
 }
 
@@ -66,9 +68,9 @@ func DecodeSDRAMState(r *snap.Reader, cfg SDRAMConfig) *SDRAM {
 			break
 		}
 		ch := new(sdramChunk)
-		r.RawU64s(ch.words[:])
-		r.RawU64s(ch.ptr[:])
-		r.RawU64s(ch.sync[:])
+		r.Sparse(ch.words[:])
+		r.Sparse(ch.ptr[:])
+		r.Sparse(ch.sync[:])
 		s.chunks[idx] = ch
 	}
 	return s
@@ -83,7 +85,8 @@ func (s *SDRAM) Adopt(src *SDRAM) {
 	s.RowMisses = src.RowMisses
 }
 
-// EncodeState writes the cache statistics and every valid line.
+// EncodeState writes the cache statistics and every valid line, its
+// eight pointer tags packed into one Mask word.
 func (c *Cache) EncodeState(w *snap.Writer) {
 	w.U64(c.Hits)
 	w.U64(c.Misses)
@@ -107,9 +110,13 @@ func (c *Cache) EncodeState(w *snap.Writer) {
 		w.Bool(ln.writable)
 		w.Bool(ln.dirty)
 		w.RawU64s(ln.words[:])
-		for _, p := range ln.ptrs {
-			w.Bool(p)
+		var ptrs uint64
+		for j, p := range ln.ptrs {
+			if p {
+				ptrs |= 1 << j
+			}
 		}
+		w.Mask(BlockWords, ptrs)
 	}
 }
 
@@ -137,8 +144,9 @@ func DecodeCacheState(r *snap.Reader, cfg CacheConfig) *Cache {
 		ln.writable = r.Bool()
 		ln.dirty = r.Bool()
 		r.RawU64s(ln.words[:])
+		ptrs := r.Mask(BlockWords)
 		for j := range ln.ptrs {
-			ln.ptrs[j] = r.Bool()
+			ln.ptrs[j] = ptrs&(1<<j) != 0
 		}
 	}
 	return c
@@ -272,7 +280,7 @@ func (m *System) EncodeState(w *snap.Writer) {
 }
 
 // DecodeSystemState reads a memory system written by EncodeState into a
-// detached scratch system built from cfg. The earliest-deadline cache is
+// new system built from cfg, with no I/O-bus device attached. The earliest-deadline cache is
 // recomputed from the decoded in-flight set.
 func DecodeSystemState(r *snap.Reader, cfg Config) *System {
 	// Not NewSystem: the SDRAM, cache and LTLB are decoded below, and a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/guard"
+	"repro/internal/machine"
 )
 
 // spinScenario is a tiny deterministic scenario: a counting loop of
@@ -889,6 +892,97 @@ func TestStatsAgreeAfterWait(t *testing.T) {
 			}
 			if st.Running != 0 {
 				t.Errorf("/stats reports %d running after the only session settled", st.Running)
+			}
+		})
+	}
+}
+
+// midRunCheckpoint runs src the way a session attempt does — supervised
+// slices of cfg.CheckpointEvery cycles — for the given number of slices,
+// and returns the boundary checkpoint the server would spool there.
+func midRunCheckpoint(t *testing.T, cfg Config, id, src string, slices int) *checkpoint {
+	t.Helper()
+	sc, err := core.ScenarioFromDSL("spin.wl", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sc.NewSim(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.M.Close()
+	run := sc.NewRun(sim)
+	for n := 0; n < slices; {
+		if run.Done() {
+			t.Fatalf("scenario finished after %d of %d slices", n, slices)
+		}
+		sup := guard.New(sim.M, guard.Options{})
+		var ran bool
+		if err := sup.Do(func() (e error) {
+			ran, e = run.Advance(sup, cfg.CheckpointEvery)
+			return e
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ran {
+			n++
+		}
+	}
+	var m bytes.Buffer
+	if err := sim.M.Save(&m); err != nil {
+		t.Fatal(err)
+	}
+	step, phaseRan := run.Pos()
+	return &checkpoint{ID: id, Name: "spin.wl", Source: src,
+		WallNanos: int64(30 * time.Second), CycleBudget: cfg.DefaultCycles,
+		NextStep: step, PhaseRan: phaseRan,
+		Checks: run.Checks(), Phases: run.Phases(), Machine: m.Bytes()}
+}
+
+// TestSpoolOldSnapshotVersion pins why bumping the machine snapshot
+// version is safe for on-disk spools: a boundary checkpoint whose machine
+// stream carries an older version fails Restore with the version error,
+// and the existing fallback restarts the session from scratch — the same
+// deterministic execution, so it still finishes on the control digest,
+// with no restore counted. The same checkpoint at the current version
+// resumes, which shows the fallback is the version's doing.
+func TestSpoolOldSnapshotVersion(t *testing.T) {
+	src := spinScenario(20000)
+	want := digestOf(t, mustServer(t, testConfig(t)), "spin.wl", src)
+
+	for _, c := range []struct {
+		name     string
+		version  uint64
+		restores uint64
+	}{
+		{"current", machine.SnapshotVersion, 1},
+		{"v1", 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			ck := midRunCheckpoint(t, cfg, "s000001", src, 3)
+			binary.LittleEndian.PutUint64(ck.Machine[8:], c.version)
+			if err := writeCheckpoint(ckptPath(cfg.Spool, ck.ID), ck); err != nil {
+				t.Fatal(err)
+			}
+			sv := mustServer(t, cfg)
+			if got := sv.Stats().Adopted; got != 1 {
+				t.Fatalf("adopted %d sessions, want 1", got)
+			}
+			s, ok := sv.Get(ck.ID)
+			if !ok {
+				t.Fatalf("session %s not adopted", ck.ID)
+			}
+			got := waitDone(t, s)
+			if got.State != StateDone {
+				t.Fatalf("adopted session: %s (%s: %s)", got.State, got.FailureClass, got.Failure)
+			}
+			if got.Digest != want.Digest || got.TotalCycles != want.TotalCycles {
+				t.Errorf("adopted session ended on digest %s after %d cycles, control %s after %d",
+					got.Digest, got.TotalCycles, want.Digest, want.TotalCycles)
+			}
+			if st := sv.Stats(); st.Restores != c.restores {
+				t.Errorf("restores %d, want %d", st.Restores, c.restores)
 			}
 		})
 	}

@@ -5,9 +5,10 @@
 // instead of error-plumbing.
 //
 // The codec is deliberately primitive — unsigned and signed 64-bit words,
-// booleans, length-prefixed byte strings and word slices — because the
-// snapshot format is defined entirely by the call sequence of the
-// encoders in each component package. Robustness against corrupt or
+// booleans, length-prefixed byte strings and word slices, and sparse
+// fixed-size word arrays — because the snapshot format is defined
+// entirely by the call sequence of the encoders in each component
+// package. Robustness against corrupt or
 // truncated input lives here: every length read is bounded by the caller
 // (Len), every primitive read fails cleanly at EOF, and the first error
 // sticks, so a decoder can run an entire field list and check Err once.
@@ -17,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 )
@@ -195,6 +197,58 @@ func (w *Writer) Mask(n int, bits uint64) {
 	w.Len(n)
 	if n > 0 {
 		w.U64(bits)
+	}
+}
+
+// SparseBlock is the granule of Sparse: the number of words one mask bit
+// stands for.
+const SparseBlock = 64
+
+// sparseBlocks returns how many SparseBlock-word blocks an n-word array
+// has (the last one possibly partial) and how many mask words, one bit a
+// block, Sparse writes for it.
+func sparseBlocks(n int) (blocks, maskWords int) {
+	blocks = (n + SparseBlock - 1) / SparseBlock
+	return blocks, (blocks + 63) / 64
+}
+
+// nextRun returns the first run [b, e) of set mask bits at or after
+// block from; b == blocks when there is none.
+func nextRun(mask []uint64, from, blocks int) (b, e int) {
+	b = from
+	for b < blocks && mask[b/64]&(1<<(b%64)) == 0 {
+		b++
+	}
+	e = b
+	for e < blocks && mask[e/64]&(1<<(e%64)) != 0 {
+		e++
+	}
+	return b, e
+}
+
+// Sparse writes a fixed-size word array (its length is implied by the
+// format, as for RawU64s) as a bitmask of its non-zero SparseBlock-word
+// blocks followed by only those blocks, so a mostly-zero array — an SDRAM
+// chunk a program touched in a few places — costs its mask plus the words
+// near its non-zero ones. Runs of adjacent non-zero blocks go out in one
+// write.
+func (w *Writer) Sparse(vs []uint64) {
+	if w.err != nil || len(vs) == 0 {
+		return
+	}
+	blocks, maskWords := sparseBlocks(len(vs))
+	mask := w.Stage(maskWords)
+	for b := 0; b < blocks; b++ {
+		for _, v := range vs[b*SparseBlock : min((b+1)*SparseBlock, len(vs))] {
+			if v != 0 {
+				mask[b/64] |= 1 << (b % 64)
+				break
+			}
+		}
+	}
+	w.RawU64s(mask)
+	for b, e := nextRun(mask, 0, blocks); b < blocks; b, e = nextRun(mask, e, blocks) {
+		w.RawU64s(vs[b*SparseBlock : min(e*SparseBlock, len(vs))])
 	}
 }
 
@@ -430,6 +484,31 @@ func (r *Reader) Mask(n int) uint64 {
 		return 0
 	}
 	return r.U64() & (1<<n - 1)
+}
+
+// Sparse reads an array written by Writer.Sparse into dst, which must be
+// the array's length and all zero on entry: blocks absent from the mask
+// are left untouched, so decoding into freshly allocated memory writes
+// only the blocks the stream carries. A mask bit naming a block past the
+// array fails through the sticky error.
+func (r *Reader) Sparse(dst []uint64) {
+	if r.err != nil || len(dst) == 0 {
+		return
+	}
+	blocks, maskWords := sparseBlocks(len(dst))
+	mask := r.Stage(maskWords)
+	r.RawU64s(mask)
+	if r.err != nil {
+		return
+	}
+	if extra := mask[maskWords-1] >> (blocks % 64); blocks%64 != 0 && extra != 0 {
+		r.Fail(fmt.Errorf("snap: sparse mask names block %d of a %d-block array",
+			blocks+bits.TrailingZeros64(extra), blocks))
+		return
+	}
+	for b, e := nextRun(mask, 0, blocks); b < blocks && r.err == nil; b, e = nextRun(mask, e, blocks) {
+		r.RawU64s(dst[b*SparseBlock : min(e*SparseBlock, len(dst))])
+	}
 }
 
 // RawU64s fills dst with exactly len(dst) words (no length prefix). The

@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -267,6 +268,8 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestWriterPrimitivesNoAllocs(t *testing.T) {
 	w := NewWriter(io.Discard)
 	w.String("warm up the bulk buffer")
+	sparse := make([]uint64, 8192) // an SDRAM chunk's data words
+	sparse[0], sparse[100], sparse[101], sparse[8191] = 1, 2, 3, 4
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -275,6 +278,7 @@ func TestWriterPrimitivesNoAllocs(t *testing.T) {
 		{"U64", func() { w.U64(42) }},
 		{"String", func() { w.String("thread") }},
 		{"Mask", func() { w.Mask(16, 0xbeef) }},
+		{"Sparse", func() { w.Sparse(sparse) }},
 	} {
 		if avg := testing.AllocsPerRun(100, c.f); avg != 0 {
 			t.Errorf("Writer.%s allocates %.1f objects per call, want 0", c.name, avg)
@@ -320,5 +324,146 @@ func TestMaskMatchesBools(t *testing.T) {
 	r.Mask(16)
 	if r.Err() == nil {
 		t.Error("Mask accepted an 8-entry slice where 16 entries are expected")
+	}
+}
+
+// sparseCases are Sparse inputs at the block boundaries: every length
+// class (one partial block, exact blocks, a partial last block, more
+// than 64 blocks so the mask spans two words) crossed with the patterns
+// that stress the mask — nothing set, only the first or last word, a
+// pair straddling a block edge, and everything set.
+func sparseCases() map[string][]uint64 {
+	cases := map[string][]uint64{}
+	for _, n := range []int{1, 63, 64, 65, 128, 200, 64*64 + 1, 8192} {
+		mk := func(set ...int) []uint64 {
+			vs := make([]uint64, n)
+			for _, i := range set {
+				vs[i] = uint64(i)<<8 | 0xa5
+			}
+			return vs
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		cases[fmt.Sprintf("n%d/zero", n)] = mk()
+		cases[fmt.Sprintf("n%d/first", n)] = mk(0)
+		cases[fmt.Sprintf("n%d/last", n)] = mk(n - 1)
+		cases[fmt.Sprintf("n%d/all", n)] = mk(all...)
+		if n > SparseBlock {
+			cases[fmt.Sprintf("n%d/edge", n)] = mk(SparseBlock-1, SparseBlock)
+		}
+	}
+	return cases
+}
+
+// TestSparseRoundTrip pins Sparse's wire size (the mask plus exactly the
+// non-zero blocks) and its round trip, including that the reader stops
+// at the end of the array and leaves absent blocks untouched.
+func TestSparseRoundTrip(t *testing.T) {
+	for name, vs := range sparseCases() {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			w.Sparse(vs)
+			w.U64(0x5e17)
+			if err := w.Err(); err != nil {
+				t.Fatal(err)
+			}
+			_, want := sparseBlocks(len(vs))
+			for b := 0; b*SparseBlock < len(vs); b++ {
+				blk := vs[b*SparseBlock : min((b+1)*SparseBlock, len(vs))]
+				for _, v := range blk {
+					if v != 0 {
+						want += len(blk)
+						break
+					}
+				}
+			}
+			if got := buf.Len()/8 - 1; got != want {
+				t.Errorf("Sparse wrote %d words, want %d", got, want)
+			}
+
+			const untouched = 0xdead
+			got := make([]uint64, len(vs))
+			for i := range got {
+				if vs[i] == 0 {
+					got[i] = untouched
+				}
+			}
+			r := NewReader(bytes.NewReader(buf.Bytes()))
+			r.Limit(int64(buf.Len()))
+			r.Sparse(got)
+			if s := r.U64(); s != 0x5e17 || r.Err() != nil {
+				t.Fatalf("after Sparse: sentinel %#x, err %v", s, r.Err())
+			}
+			for i := range vs {
+				block := vs[i/SparseBlock*SparseBlock : min((i/SparseBlock+1)*SparseBlock, len(vs))]
+				present := false
+				for _, v := range block {
+					present = present || v != 0
+				}
+				want := vs[i]
+				if !present {
+					want = untouched
+				}
+				if got[i] != want {
+					t.Fatalf("word %d = %#x, want %#x", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestSparseMaskPastArray pins that a mask bit naming a block the array
+// does not have fails through the sticky error instead of indexing past
+// dst.
+func TestSparseMaskPastArray(t *testing.T) {
+	for _, c := range []struct {
+		n     int      // array length
+		mask  []uint64 // mask words
+		legal bool     // the mask names only blocks the array has
+	}{
+		{n: 100, mask: []uint64{1 << 2}},                   // 2 blocks, bit 2 set
+		{n: 1, mask: []uint64{1<<1 | 1}},                   // 1 block, bit 1 set
+		{n: 65 * 64, mask: []uint64{0, 1 << 1}},            // 65 blocks, bit 65 set
+		{n: 65 * 64, mask: []uint64{0, 1 << 63}},           // 65 blocks, bit 127 set
+		{n: 64 * 64, mask: []uint64{1 << 63}, legal: true}, // 64 blocks: bit 63 is the last one
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.RawU64s(c.mask)
+		w.RawU64s(make([]uint64, c.n)) // enough payload for any block
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r.Sparse(make([]uint64, c.n))
+		switch {
+		case c.legal && r.Err() != nil:
+			t.Errorf("n=%d mask %#x: %v", c.n, c.mask, r.Err())
+		case !c.legal && (r.Err() == nil || !strings.Contains(r.Err().Error(), "sparse mask names block")):
+			t.Errorf("n=%d mask %#x: err %v, want a bad-mask error", c.n, c.mask, r.Err())
+		}
+	}
+}
+
+// TestSparseTruncatedBlock cuts a Sparse stream at every byte: each cut
+// must fail as truncated, whether or not the reader knows the stream
+// size.
+func TestSparseTruncatedBlock(t *testing.T) {
+	vs := make([]uint64, 300)
+	vs[5], vs[64], vs[299] = 1, 2, 3
+	var buf bytes.Buffer
+	NewWriter(&buf).Sparse(vs)
+	full := buf.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		for _, limited := range []bool{false, true} {
+			r := NewReader(bytes.NewReader(full[:cut]))
+			if limited {
+				r.Limit(int64(cut))
+			}
+			r.Sparse(make([]uint64, len(vs)))
+			if r.Err() == nil || !strings.Contains(r.Err().Error(), "truncated") {
+				t.Fatalf("cut at %d of %d (limited %v): err %v", cut, len(full), limited, r.Err())
+			}
+		}
 	}
 }
