@@ -1,9 +1,9 @@
 # Build/verify entry points. `make ci` is the tier-1 gate plus a race pass
 # over the supervision, service and distributed-engine goroutines (short
 # mode: the full experiment determinism matrix is too slow under the race
-# detector's instrumentation), the checkpoint round-trip gate, an
-# examples link pass, an end-to-end run of every checked-in workload
-# scenario (testdata/workloads/*.wl under msim), a shuffled short test
+# detector's instrumentation), the checkpoint round-trip gate, the
+# typed-trace gate, an examples link pass, an end-to-end run of every
+# checked-in workload scenario (testdata/workloads/*.wl under msim), a shuffled short test
 # pass (order-dependent tests are bugs), the generated-scenario
 # determinism fuzzer (mbench -gen: 200 wgen seeds, naive and event
 # engines plus a distributed subsample, bit-identical, failures
@@ -25,9 +25,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint test shuffle race checkpoint examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke bench benchdiff
+.PHONY: ci build vet lint test shuffle race checkpoint trace examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke bench benchdiff
 
-ci: build vet lint test shuffle race checkpoint examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke benchdiff
+ci: build vet lint test shuffle race checkpoint trace examples wl gen faults serve dist hostbench fuzz-smoke bench-smoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,19 @@ checkpoint:
 	$(GO) run ./cmd/msim -restore $$tmp/ci.snap testdata/fib.masm >$$tmp/b.out && \
 	grep -q 'i1  = 6765' $$tmp/b.out && echo "checkpoint: msim save/restore round trip OK"; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
+
+# Typed trace events, in their own invocation so a trace regression is
+# named in CI output: the golden timeline corpus (byte-identical
+# trace.Timeline text covering every event kind) and the Figure 9 exact
+# address match, Detail() against the formatted text at edge values, the
+# zero-allocation pin on a traced remote-traffic cycle, the dist trace
+# frame round trip and corrupt-frame errors, and msimd sessions recording
+# no trace.
+trace:
+	$(GO) test -count=1 ./internal/trace
+	$(GO) test -run 'TestGoldenTimelines|TestFigure9MatchesExactAddress|TestTracedRemoteTrafficNoAllocs' -count=1 ./internal/core
+	$(GO) test -run 'TestTraceFrame' -count=1 ./internal/dist
+	$(GO) test -run 'TestSessionRecordsNoTrace' -count=1 ./internal/serve
 
 # Link every example binary (go build ./... only type-checks main
 # packages; this leg catches link-level breakage in examples/*).

@@ -19,6 +19,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // NoEvent is the NextEvent sentinel meaning "this component will never act
@@ -173,7 +174,7 @@ type Chip struct {
 
 	// Trace, if non-nil, receives simulation events for timeline
 	// reconstruction (Figure 9).
-	Trace func(cycle int64, node int, event, detail string) `snap:"derived,engine hook, reinstalled by the owner"`
+	Trace func(trace.Event) `snap:"derived,engine hook, reinstalled by the owner"`
 
 	Cycle int64
 
@@ -264,11 +265,14 @@ func (c *Chip) MsgQueue(p int) *events.Queue { return c.msgq[p] }
 // ExcQueue exposes the synchronous exception queue.
 func (c *Chip) ExcQueue() *events.Queue { return c.excq }
 
-func (c *Chip) trace(event, detail string) {
+// trace stamps ev with the chip's cycle and index and hands it to the
+// hook. Sites fill numeric fields only: nothing is formatted here.
+func (c *Chip) trace(ev trace.Event) {
 	if c.Trace == nil {
 		return
 	}
-	c.Trace(c.Cycle, c.Index, event, detail)
+	ev.Cycle, ev.Node = c.Cycle, c.Index
+	c.Trace(ev)
 }
 
 // send buffers a message for injection into the network. The machine
@@ -495,13 +499,13 @@ func (c *Chip) memResponse(resp mem.Response) {
 		c.memFault(resp, meta)
 		return
 	}
-	c.trace("mem-complete", fmt.Sprintf("%s addr=%#x", resp.Req.Kind, resp.Req.Addr))
+	c.trace(trace.Event{Kind: trace.MemComplete, Mem: resp.Req.Kind, Addr: resp.Req.Addr})
 	if !resp.Req.Kind.IsWrite() {
 		w := isa.Word{Bits: resp.Data, Ptr: resp.DataPtr}
 		if meta.isRetry {
 			vt, cl, reg := isa.UnpackRegDesc(meta.regDesc)
 			c.Clusters[cl].Threads[vt].File(reg.Class).Set(int(reg.Index), w)
-			c.trace("retry-complete", fmt.Sprintf("addr=%#x", resp.Req.Addr))
+			c.trace(trace.Event{Kind: trace.RetryComplete, Addr: resp.Req.Addr})
 		} else {
 			th := c.Clusters[meta.cl].Threads[meta.vthread]
 			th.File(meta.dst.Class).Set(int(meta.dst.Index), w)
@@ -538,7 +542,7 @@ func (c *Chip) memFault(resp mem.Response, meta reqMeta) {
 	default:
 		panic("chip: unknown fault")
 	}
-	c.trace("event", rec.String())
+	c.trace(trace.Event{Kind: trace.AsyncEvent, EvType: rec.Type, Mem: rec.Kind, Addr: rec.VAddr})
 	q.Push(rec)
 }
 

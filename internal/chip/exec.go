@@ -15,6 +15,7 @@ import (
 	"repro/internal/gp"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // ptrAddr offsets a guarded pointer without a permission check (privileged
@@ -154,7 +155,7 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 			ws[i] = rec.w[i].Bits
 		}
 		c.Mem.TLBInstall(ws)
-		c.trace("tlbw", fmt.Sprintf("vpn=%d", ws[0]>>1))
+		c.trace(trace.Event{Kind: trace.TLBW, Addr: ws[0] >> 1})
 		return 0, false
 
 	case isa.TLBINV:
@@ -182,7 +183,7 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 			regDesc: r.RegDesc,
 			data:    r.Data,
 		})
-		c.trace("mretry", fmt.Sprintf("addr=%#x", r.VAddr))
+		c.trace(trace.Event{Kind: trace.MRetry, Addr: r.VAddr})
 		return 0, false
 
 	case isa.RSTW:
@@ -190,7 +191,7 @@ func (c *Chip) execute(now int64, vt, cl int, th *cluster.HThread, op *isa.Op) (
 		data := c.readSrc(vt, cl, th, op.Src2)
 		dvt, dcl, reg := isa.UnpackRegDesc(desc.Bits)
 		c.schedule(now+c.Cfg.XferLat, dvt, dcl, reg, data)
-		c.trace("rstw", fmt.Sprintf("vt=%d cl=%d %s", dvt, dcl, reg))
+		c.trace(trace.Event{Kind: trace.RSTW, VT: uint8(dvt), CL: uint8(dcl), Reg: reg})
 		return 0, false
 
 	case isa.DIRLOG:
@@ -329,7 +330,7 @@ func (c *Chip) executeMem(now int64, vt, cl int, th *cluster.HThread, op *isa.Op
 	req := mem.Request{Kind: kind, Addr: addr, Pre: op.Pre, Post: op.Post}
 	meta := reqMeta{vthread: vt, cl: cl}
 	if vt < isa.NumUserSlots {
-		c.trace("mem-issue", fmt.Sprintf("%s addr=%#x", kind, addr))
+		c.trace(trace.Event{Kind: trace.MemIssue, Mem: kind, Addr: addr})
 	}
 	if write {
 		v := c.readSrc(vt, cl, th, op.Src2)

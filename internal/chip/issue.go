@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // issueCluster selects and issues at most one instruction on cluster cl,
@@ -296,7 +297,9 @@ func (c *Chip) protFault(vt, cl int, th *cluster.HThread, msg string) {
 		isa.W(uint64(cl)),
 		isa.W(uint64(th.PC)),
 	})
-	c.trace("prot-fault", msg)
+	if c.Trace != nil { // intern the message only when it is recorded
+		c.trace(trace.Event{Kind: trace.ProtFault, Text: trace.Intern(msg)})
+	}
 }
 
 // readRecord assembles an event record from 4 consecutive integer

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gtlb"
 	"repro/internal/isa"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // gtlbToNoc converts between the two packages' coordinate types.
@@ -25,24 +26,15 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 	addrW := c.readSrc(vt, cl, th, op.Src1)
 	dipW := c.readSrc(vt, cl, th, op.Src2)
 
-	body := make([]isa.Word, op.Imm)
-	for i := range body {
-		body[i] = th.Ints.Get(int(op.Dst.Index) + i)
-	}
-
-	msg := &noc.Message{Src: c.Node, DIP: dipW.Bits, Body: body}
-
 	if op.Code == isa.SENDN {
 		idx := int(addrW.Bits)
 		if idx < 0 || idx >= c.Net.NumNodes() {
 			c.protFault(vt, cl, th, fmt.Sprintf("sendn to bad node %d", idx))
 			return
 		}
-		msg.Pri = 1
-		msg.Dst = c.Net.CoordOf(idx)
-		msg.DstAddr = addrW.Bits
+		msg := c.newMsg(th, op, 1, c.Net.CoordOf(idx), addrW.Bits, dipW.Bits)
 		c.send(msg)
-		c.trace("send", fmt.Sprintf("pri1 to node %d dip=%d len=%d", idx, msg.DIP, len(body)))
+		c.trace(trace.Event{Kind: trace.Send, Pri: 1, Addr: msg.DstAddr, DIP: msg.DIP, Len: int32(len(msg.Body))})
 		return
 	}
 
@@ -72,11 +64,20 @@ func (c *Chip) executeSend(now int64, vt, cl int, th *cluster.HThread, op *isa.O
 	}
 	// Throttling: reserve return-buffer space (checked in opReady).
 	c.credits--
-	msg.Pri = 0
-	msg.Dst = gtlbToNoc(home)
-	msg.DstAddr = a
+	msg := c.newMsg(th, op, 0, gtlbToNoc(home), a, dipW.Bits)
 	c.send(msg)
-	c.trace("send", fmt.Sprintf("pri0 to %v dip=%d len=%d", msg.Dst, msg.DIP, len(body)))
+	c.trace(trace.Event{Kind: trace.Send, Addr: a, Peer: trace.CoordOf(msg.Dst), DIP: msg.DIP, Len: int32(len(msg.Body))})
+}
+
+// newMsg builds a SEND's message: the body is the op.Imm integer
+// registers starting at op.Dst.
+func (c *Chip) newMsg(th *cluster.HThread, op *isa.Op, pri int, dst noc.Coord, dstAddr, dip uint64) *noc.Message {
+	msg := c.Net.NewMessage(int(op.Imm))
+	for i := range msg.Body {
+		msg.Body[i] = th.Ints.Get(int(op.Dst.Index) + i)
+	}
+	msg.Pri, msg.Src, msg.Dst, msg.DstAddr, msg.DIP = pri, c.Node, dst, dstAddr, dip
+	return msg
 }
 
 // networkInput drains delivered messages into the hardware message queues.
@@ -112,6 +113,7 @@ func (c *Chip) receiveMsg(now int64, m *noc.Message) {
 				c.resendNext = at
 			}
 		}
+		c.Net.Recycle(m)
 		return
 	}
 
@@ -119,23 +121,22 @@ func (c *Chip) receiveMsg(now int64, m *noc.Message) {
 	c.msgScratch = append(c.msgScratch, m.Body...)
 	accepted := c.msgq[m.Pri].PushWords(c.msgScratch)
 	if m.Pri == 0 {
-		ack := &noc.Message{
-			Pri:   1,
-			Src:   c.Node,
-			Dst:   m.Src,
-			HWAck: true,
-			AckOK: accepted,
-		}
+		ack := c.Net.NewMessage(0)
+		ack.Pri, ack.Src, ack.Dst, ack.HWAck, ack.AckOK = 1, c.Node, m.Src, true, accepted
 		if !accepted {
-			orig := *m
-			ack.Orig = &orig
+			// The returned contents travel back in the ack; m is not
+			// recycled.
+			ack.Orig = m
 		}
 		c.send(ack)
 	}
-	if accepted {
-		c.trace("msg-recv", fmt.Sprintf("pri%d dip=%d from %v", m.Pri, m.DIP, m.Src))
-	} else {
-		c.trace("msg-reject", fmt.Sprintf("pri%d dip=%d from %v", m.Pri, m.DIP, m.Src))
+	kind := trace.MsgRecv
+	if !accepted {
+		kind = trace.MsgReject
+	}
+	c.trace(trace.Event{Kind: kind, Pri: uint8(m.Pri), DIP: m.DIP, Peer: trace.CoordOf(m.Src)})
+	if accepted || m.Pri != 0 {
+		c.Net.Recycle(m)
 	}
 }
 
@@ -155,17 +156,12 @@ func (c *Chip) resendReturned(now int64) {
 			}
 			continue
 		}
+		// The returned message is this chip's alone now: re-inject it
+		// as a fresh message.
 		m := r.msg
-		fresh := &noc.Message{
-			Pri:     m.Pri,
-			Src:     c.Node,
-			Dst:     m.Dst,
-			DIP:     m.DIP,
-			DstAddr: m.DstAddr,
-			Body:    m.Body,
-		}
-		c.send(fresh)
-		c.trace("resend", fmt.Sprintf("dip=%d to %v", m.DIP, m.Dst))
+		*m = noc.Message{Pri: m.Pri, Src: c.Node, Dst: m.Dst, DIP: m.DIP, DstAddr: m.DstAddr, Body: m.Body}
+		c.send(m)
+		c.trace(trace.Event{Kind: trace.Resend, DIP: m.DIP, Peer: trace.CoordOf(m.Dst)})
 	}
 	for i := len(kept); i < len(c.resends); i++ {
 		c.resends[i] = resend{}

@@ -151,7 +151,7 @@ func fingerprint(o Options, w meshWorkload) (string, error) {
 		}
 	}
 	for _, e := range s.Recorder.Events {
-		fmt.Fprintf(&b, "trace %d %d %s %s\n", e.Cycle, e.Node, e.Name, e.Detail)
+		fmt.Fprintf(&b, "trace %d %d %s %s\n", e.Cycle, e.Node, e.Name(), e.Detail())
 	}
 	return b.String(), nil
 }

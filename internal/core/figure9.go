@@ -44,31 +44,48 @@ func Figure9() (read, write *Figure9Result, err error) {
 }
 
 func figure9One(isWrite bool) (*Figure9Result, error) {
-	s, err := NewSim(Options{Nodes: 2})
+	s, start, addr, err := figure9Run(isWrite)
 	if err != nil {
 		return nil, err
 	}
-	addr := s.HomeBase(1) + 16
+	return figure9Phases(s.Recorder, start, addr, isWrite)
+}
+
+// figure9Run stages the Remote Cache Hit access and runs the timed read
+// or write with a fresh trace. It returns the traced simulator, the
+// cycle the access started at and the accessed address.
+func figure9Run(isWrite bool) (s *Sim, start int64, addr uint64, err error) {
+	s, err = NewSim(Options{Nodes: 2})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	addr = s.HomeBase(1) + 16
 	if err := stageAccess(s, RemoteCacheHit, addr); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	s.Recorder.Reset()
-	start := s.M.Cycle
+	start = s.M.Cycle
+	if isWrite {
+		_, err = timeWrite(s, RemoteCacheHit, addr)
+	} else {
+		_, err = timeRead(s, addr)
+	}
+	return s, start, addr, err
+}
 
+// figure9Phases reconstructs the timeline of the access to addr from the
+// events recorded at or after start. Events match on their typed fields,
+// so the home node's completion is the one at exactly addr.
+func figure9Phases(rec *trace.Recorder, start int64, addr uint64, isWrite bool) (*Figure9Result, error) {
 	kind := "read"
 	if isWrite {
 		kind = "write"
-		if _, err := timeWrite(s, RemoteCacheHit, addr); err != nil {
-			return nil, err
-		}
-	} else {
-		if _, err := timeRead(s, addr); err != nil {
-			return nil, err
-		}
 	}
-
 	res := &Figure9Result{Kind: kind}
-	issue, ok := s.Recorder.First(start, "mem-issue")
+	at := func(node int, k trace.Kind) func(trace.Event) bool {
+		return func(e trace.Event) bool { return e.Node == node && e.Kind == k }
+	}
+	issue, ok := rec.FirstMatch(start, func(e trace.Event) bool { return e.Kind == trace.MemIssue })
 	if !ok {
 		return nil, fmt.Errorf("figure9: no mem-issue event")
 	}
@@ -81,19 +98,14 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 	opName := map[bool]string{false: "LOAD", true: "STORE"}[isWrite]
 	add(issue, opName+" issues", true)
 
-	ev, ok := s.Recorder.First(base, "event")
+	ev, ok := rec.FirstMatch(base, func(e trace.Event) bool { return e.Kind == trace.AsyncEvent })
 	add(ev, "LTLB miss event enqueued", ok)
-	snd, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 0 && e.Name == "send"
-	})
+	snd, ok := rec.FirstMatch(base, at(0, trace.Send))
 	add(snd, "LTLB miss handler completes; "+opName+" message sent", ok)
-	rcv, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 1 && e.Name == "msg-recv"
-	})
+	rcv, ok := rec.FirstMatch(base, at(1, trace.MsgRecv))
 	add(rcv, "message received", ok)
-	exec, ok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-		return e.Node == 1 && e.Name == "mem-complete" &&
-			strings.Contains(e.Detail, fmt.Sprintf("addr=%#x", addr))
+	exec, ok := rec.FirstMatch(base, func(e trace.Event) bool {
+		return at(1, trace.MemComplete)(e) && e.Addr == addr
 	})
 	add(exec, "execute "+strings.ToLower(opName), ok)
 
@@ -103,17 +115,11 @@ func figure9One(isWrite bool) (*Figure9Result, error) {
 		}
 		res.Total = exec.Cycle - base
 	} else {
-		reply, rok := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 1 && e.Name == "send"
-		})
+		reply, rok := rec.FirstMatch(base, at(1, trace.Send))
 		add(reply, "reply message sent", rok)
-		rrecv, rok2 := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 0 && e.Name == "msg-recv"
-		})
+		rrecv, rok2 := rec.FirstMatch(base, at(0, trace.MsgRecv))
 		add(rrecv, "reply received", rok2)
-		wb, rok3 := s.Recorder.FirstMatch(base, func(e trace.Event) bool {
-			return e.Node == 0 && e.Name == "rstw"
-		})
+		wb, rok3 := rec.FirstMatch(base, at(0, trace.RSTW))
 		add(wb, "data written to destination register", rok3)
 		if !rok3 {
 			return nil, fmt.Errorf("figure9: no register writeback observed")

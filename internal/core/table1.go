@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -242,12 +243,11 @@ func timeWrite(s *Sim, class AccessClass, addr uint64) (int64, error) {
 	if class >= RemoteCacheHit {
 		node = 1
 	}
-	want := fmt.Sprintf("write addr=%#x", addr)
 	ev, ok := s.Recorder.FirstMatch(start, func(e trace.Event) bool {
-		return e.Node == node && e.Name == "mem-complete" && e.Detail == want
+		return e.Node == node && e.Kind == trace.MemComplete && e.Mem == mem.ReqWrite && e.Addr == addr
 	})
 	if !ok {
-		return 0, fmt.Errorf("no completion event for %s", want)
+		return 0, fmt.Errorf("no completion event for write addr=%#x", addr)
 	}
 	return ev.Cycle - issue, nil
 }

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/snap"
+	"repro/internal/trace"
 )
 
 // FailureClass labels how a shard died, mirroring internal/serve's
@@ -110,7 +111,7 @@ type Config struct {
 	Kill []KillSpec
 	// Trace receives the merged chip trace stream, in the serial
 	// engines' order. Nil drops it.
-	Trace func(cycle int64, node int, event, detail string)
+	Trace func(trace.Event)
 }
 
 func (cfg *Config) setDefaults() {
@@ -172,7 +173,7 @@ type Coordinator struct {
 
 	ck           checkpoint
 	ckCount      int
-	pendingTrace []traceEvent
+	pendingTrace []trace.Event
 
 	recoveries int
 	failures   []FailureRecord
@@ -675,9 +676,8 @@ const distCkptMagic = 0x316b63747369646d
 // events of the replayed window — each is delivered exactly once.
 func (co *Coordinator) commitTrace() {
 	if co.cfg.Trace != nil {
-		for i := range co.pendingTrace {
-			ev := &co.pendingTrace[i]
-			co.cfg.Trace(ev.Cycle, ev.Node, ev.Event, ev.Detail)
+		for _, ev := range co.pendingTrace {
+			co.cfg.Trace(ev)
 		}
 	}
 	co.pendingTrace = co.pendingTrace[:0]

@@ -36,8 +36,12 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/events"
+	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/snap"
+	"repro/internal/trace"
 )
 
 // protoVersion gates the handshake: a coordinator and worker from
@@ -240,15 +244,6 @@ type consumption struct {
 	Node, Pri, N int
 }
 
-// traceEvent is one chip trace record shipped back to the coordinator,
-// which replays the events of all shards in global node order so the
-// observed trace stream matches the serial engines'.
-type traceEvent struct {
-	Cycle         int64
-	Node          int
-	Event, Detail string
-}
-
 // stepReply is everything one shard produced during one cycle: drained
 // outbox messages in node order (the coordinator injects them, assigning
 // global sequence numbers), consumption confirmations, trace events, and
@@ -256,7 +251,7 @@ type traceEvent struct {
 type stepReply struct {
 	Msgs     []*noc.Message
 	Consumed []consumption
-	Trace    []traceEvent
+	Trace    []trace.Event // replayed by the coordinator in global node order
 	Act      activity
 }
 
@@ -274,11 +269,8 @@ func encodeStepReply(net *noc.Network, rep *stepReply) []byte {
 		w.Int(c.N)
 	}
 	w.Len(len(rep.Trace))
-	for _, t := range rep.Trace {
-		w.I64(t.Cycle)
-		w.Int(t.Node)
-		w.String(t.Event)
-		w.String(t.Detail)
+	for i := range rep.Trace {
+		encodeTraceEvent(w, &rep.Trace[i])
 	}
 	rep.Act.encode(w)
 	return buf.Bytes()
@@ -297,13 +289,75 @@ func decodeStepReply(net *noc.Network, p []byte) (*stepReply, error) {
 	}
 	n = r.Len(1 << 24)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		rep.Trace = append(rep.Trace, traceEvent{
-			Cycle: r.I64(), Node: r.Int(),
-			Event: r.String(1 << 12), Detail: r.String(1 << 16),
-		})
+		rep.Trace = append(rep.Trace, decodeTraceEvent(r))
 	}
 	rep.Act = decodeActivity(r)
 	return rep, r.Err()
+}
+
+// A trace frame is traceFrameWords fixed 64-bit words, little-endian:
+//
+//	0  Cycle   4  Kind | Mem<<8 | EvType<<16 | Pri<<24 | VT<<32 | CL<<40 | Reg.Class<<48 | Reg.Index<<56
+//	1  Node    5  uint32(Len) | uint8(Reg.Cluster)<<32
+//	2  Addr    6  uint32(Peer.X) | uint32(Peer.Y)<<32
+//	3  DIP     7  uint32(Peer.Z)
+//
+// A prot-fault frame is followed by its message as a length-prefixed
+// string: the Text id is local to the process that interned it.
+const traceFrameWords = 8
+
+func encodeTraceEvent(w *snap.Writer, e *trace.Event) {
+	ws := w.Stage(traceFrameWords)
+	ws[0] = uint64(e.Cycle)
+	ws[1] = uint64(e.Node)
+	ws[2] = e.Addr
+	ws[3] = e.DIP
+	ws[4] = uint64(e.Kind) | uint64(e.Mem)<<8 | uint64(e.EvType)<<16 | uint64(e.Pri)<<24 |
+		uint64(e.VT)<<32 | uint64(e.CL)<<40 | uint64(e.Reg.Class)<<48 | uint64(e.Reg.Index)<<56
+	ws[5] = uint64(uint32(e.Len)) | uint64(uint8(e.Reg.Cluster))<<32
+	ws[6] = uint64(uint32(e.Peer.X)) | uint64(uint32(e.Peer.Y))<<32
+	ws[7] = uint64(uint32(e.Peer.Z))
+	w.RawU64s(ws)
+	if e.Kind == trace.ProtFault {
+		w.String(trace.Text(e.Text))
+	}
+}
+
+func decodeTraceEvent(r *snap.Reader) trace.Event {
+	ws := r.Stage(traceFrameWords)
+	r.RawU64s(ws)
+	if r.Err() != nil {
+		return trace.Event{}
+	}
+	e := trace.Event{
+		Cycle:  int64(ws[0]),
+		Node:   int(ws[1]),
+		Addr:   ws[2],
+		DIP:    ws[3],
+		Kind:   trace.Kind(ws[4]),
+		Mem:    mem.Kind(ws[4] >> 8),
+		EvType: events.Type(ws[4] >> 16),
+		Pri:    uint8(ws[4] >> 24),
+		VT:     uint8(ws[4] >> 32),
+		CL:     uint8(ws[4] >> 40),
+		Reg: isa.Reg{
+			Class:   isa.RegClass(ws[4] >> 48),
+			Index:   uint8(ws[4] >> 56),
+			Cluster: int8(ws[5] >> 32),
+		},
+		Len:  int32(uint32(ws[5])),
+		Peer: trace.Coord{X: int32(uint32(ws[6])), Y: int32(ws[6] >> 32), Z: int32(uint32(ws[7]))},
+	}
+	if !e.Kind.Valid() {
+		r.Fail(fmt.Errorf("dist: trace frame has invalid kind %d", ws[4]&0xFF))
+		return trace.Event{}
+	}
+	if e.Kind == trace.ProtFault {
+		if text := r.String(1 << 16); r.Err() == nil {
+			e.Text = trace.Intern(text)
+		}
+	}
+	return e
 }
 
 func encodeI64(v int64) []byte {

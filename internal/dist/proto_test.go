@@ -9,11 +9,15 @@ package dist
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 func testNet() *noc.Network {
@@ -85,7 +89,7 @@ func TestStepRoundTrip(t *testing.T) {
 	rep := stepReply{
 		Msgs:     []*noc.Message{msg},
 		Consumed: []consumption{{Node: 3, Pri: 1, N: 2}},
-		Trace:    []traceEvent{{Cycle: 77, Node: 3, Event: "issue", Detail: "x"}},
+		Trace:    []trace.Event{{Cycle: 77, Node: 3, Kind: trace.MemIssue, Mem: mem.ReqRead, Addr: 0x1010}},
 		Act:      activity{Running: 1, Busy: 2, Issued: 3, Next: 78, Fault: "boom"},
 	}
 	rout, err := decodeStepReply(net, encodeStepReply(net, &rep))
@@ -110,5 +114,65 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	}
 	if _, err := decodeStepReply(net, []byte{0xee}); err == nil {
 		t.Fatal("truncated stepReply decoded")
+	}
+}
+
+// traceFrames covers every kind with its fields at edge values.
+func traceFrames() []trace.Event {
+	const maxU = ^uint64(0)
+	return []trace.Event{
+		{Cycle: 0, Node: 0, Kind: trace.MemIssue, Mem: mem.ReqWritePhys, Addr: maxU},
+		{Cycle: 1 << 40, Node: 15, Kind: trace.MemComplete, Mem: mem.ReqWrite, Addr: 0},
+		{Cycle: 3, Node: 1, Kind: trace.RetryComplete, Addr: 0x1010},
+		{Cycle: 4, Node: 2, Kind: trace.AsyncEvent, EvType: events.SyncFault, Mem: mem.ReqRead, Addr: maxU},
+		{Cycle: 5, Node: 3, Kind: trace.TLBW, Addr: maxU >> 1},
+		{Cycle: 6, Node: 0, Kind: trace.MRetry, Addr: 1},
+		{Cycle: 7, Node: 1, Kind: trace.RSTW, VT: 15, CL: 3, Reg: isa.Remote(2, isa.FP(255))},
+		{Cycle: 8, Node: 2, Kind: trace.Send, Pri: 1, Addr: 3, DIP: maxU, Len: 1<<31 - 1},
+		{Cycle: 9, Node: 3, Kind: trace.Send, Addr: maxU, Peer: trace.Coord{X: -1, Y: -7, Z: -3}, DIP: 2, Len: 0},
+		{Cycle: 10, Node: 0, Kind: trace.MsgRecv, Pri: 1, DIP: 10, Peer: trace.Coord{X: 1}},
+		{Cycle: 11, Node: 1, Kind: trace.MsgReject, DIP: 0, Peer: trace.Coord{}},
+		{Cycle: 12, Node: 2, Kind: trace.Resend, DIP: 7, Peer: trace.Coord{X: math.MaxInt32, Y: math.MinInt32, Z: -1}},
+		{Cycle: 13, Node: 3, Kind: trace.ProtFault, Text: trace.Intern("send with illegal DIP 9")},
+	}
+}
+
+// TestTraceFrameRoundTrip ships every trace kind through a step reply:
+// the coordinator must see the events field for field, and the
+// prot-fault message by text (its intern id is process-local).
+func TestTraceFrameRoundTrip(t *testing.T) {
+	net := testNet()
+	rep := stepReply{Trace: traceFrames()}
+	out, err := decodeStepReply(net, encodeStepReply(net, &rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Trace) != len(rep.Trace) {
+		t.Fatalf("%d events back, want %d", len(out.Trace), len(rep.Trace))
+	}
+	for i, want := range rep.Trace {
+		if got := out.Trace[i]; got != want || got.Detail() != want.Detail() {
+			t.Errorf("event %d: got %+v (%s), want %+v (%s)", i, got, got.Detail(), want, want.Detail())
+		}
+	}
+}
+
+// TestTraceFrameCorrupt feeds bad kinds and every truncation of a trace
+// frame to the decoder: each must fail through the reader's sticky
+// error, never panic or yield an event.
+func TestTraceFrameCorrupt(t *testing.T) {
+	net := testNet()
+	for _, bad := range []trace.Kind{0, trace.Kind(trace.NumKinds + 1), 255} {
+		rep := stepReply{Trace: []trace.Event{{Cycle: 1, Kind: bad}}}
+		_, err := decodeStepReply(net, encodeStepReply(net, &rep))
+		if err == nil || !strings.Contains(err.Error(), "invalid kind") {
+			t.Errorf("kind %d: err = %v, want an invalid-kind error", bad, err)
+		}
+	}
+	full := encodeStepReply(net, &stepReply{Trace: traceFrames()})
+	for n := 0; n < len(full); n++ {
+		if _, err := decodeStepReply(net, full[:n]); err == nil {
+			t.Fatalf("reply truncated to %d of %d bytes decoded", n, len(full))
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // WorkerAddrEnv names the environment variable that turns a process
@@ -70,7 +71,7 @@ type worker struct {
 	arrNodes []int
 	arrMark  []bool
 
-	traceBuf []traceEvent // events emitted during the current chip phase
+	traceBuf []trace.Event // events emitted during the current chip phase
 	outBuf   []*noc.Message
 
 	hbStop chan struct{}
@@ -214,12 +215,9 @@ func (w *worker) seed(snapshot []byte) error {
 	// Trace hook on owned chips only: events buffer per cycle and ship
 	// with the step reply. Unowned chips never step here, so they need
 	// no hook.
-	for i := w.spec.Lo; i < w.spec.Hi; i++ {
-		c := w.m.Chips[i]
-		node := i
-		c.Trace = func(cycle int64, _ int, event, detail string) {
-			w.traceBuf = append(w.traceBuf, traceEvent{Cycle: cycle, Node: node, Event: event, Detail: detail})
-		}
+	hook := func(e trace.Event) { w.traceBuf = append(w.traceBuf, e) }
+	for _, c := range w.m.Chips[w.spec.Lo:w.spec.Hi] {
+		c.Trace = hook
 	}
 	return nil
 }

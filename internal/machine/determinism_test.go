@@ -8,6 +8,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // runWorkload boots a fresh machine, runs a mixed multi-node workload, and
@@ -85,9 +86,9 @@ func TestDeterminismMixedEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var trace strings.Builder
-		m.SetTrace(func(cycle int64, node int, event, detail string) {
-			fmt.Fprintf(&trace, "%d %d %s %s\n", cycle, node, event, detail)
+		var tr strings.Builder
+		m.SetTrace(func(e trace.Event) {
+			fmt.Fprintf(&tr, "%d %d %s %s\n", e.Cycle, e.Node, e.Name(), e.Detail())
 		})
 		// Node 0 streams remote stores into the other nodes' home ranges, so
 		// deliveries and handler dispatches land on otherwise-idle chips
@@ -105,7 +106,7 @@ loop:
     halt
 `)
 		m.WakeAll()
-		return m, &trace
+		return m, &tr
 	}
 	ref, refTrace := build() // pure event engine
 	mix, mixTrace := build() // event engine, naive phases interleaved

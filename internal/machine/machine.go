@@ -29,6 +29,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // ErrStopped is wrapped into the error Run, RunExact and RunUntil return
@@ -561,8 +562,8 @@ func (m *Machine) Peek(node int, vaddr uint64) (uint64, error) {
 	return w, err
 }
 
-// SetTrace installs a trace callback on every chip.
-func (m *Machine) SetTrace(fn func(cycle int64, node int, event, detail string)) {
+// SetTrace installs a trace callback on every chip; nil detaches it.
+func (m *Machine) SetTrace(fn func(trace.Event)) {
 	for _, c := range m.Chips {
 		c.Trace = fn
 	}

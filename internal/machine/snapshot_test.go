@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // snapMode is one engine configuration of the snapshot matrix.
@@ -130,8 +131,8 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 
 			// Continue the original; record the continuation's trace.
 			var traceA strings.Builder
-			a.SetTrace(func(cycle int64, node int, event, detail string) {
-				fmt.Fprintf(&traceA, "%d %d %s %s\n", cycle, node, event, detail)
+			a.SetTrace(func(e trace.Event) {
+				fmt.Fprintf(&traceA, "%d %d %s %s\n", e.Cycle, e.Node, e.Name(), e.Detail())
 			})
 			ran, err := a.Run(500000)
 			if err != nil {
@@ -164,8 +165,8 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 							again.Len(), len(snapshot))
 					}
 					var traceB strings.Builder
-					b.SetTrace(func(cycle int64, node int, event, detail string) {
-						fmt.Fprintf(&traceB, "%d %d %s %s\n", cycle, node, event, detail)
+					b.SetTrace(func(e trace.Event) {
+						fmt.Fprintf(&traceB, "%d %d %s %s\n", e.Cycle, e.Node, e.Name(), e.Detail())
 					})
 					ranB, err := b.Run(500000)
 					if err != nil {

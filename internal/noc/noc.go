@@ -131,9 +131,47 @@ type Network struct {
 	// recomputed by Step and lowered by Inject (the NextEvent source).
 	nextWake int64 `snap:"derived,recomputed from decoded in-flight messages"`
 
+	// free holds consumed message shells for NewMessage to reuse.
+	free []*Message `snap:"derived,recycled shells of consumed messages; contents dead"`
+
 	// Stats.
 	Injected, Delivered uint64
 	TotalHops           uint64
+}
+
+// maxFreeMessages bounds the recycled-shell list. A node that consumes
+// more messages than it sends (a dist shard receiving replies it did not
+// request) would otherwise grow it without limit.
+const maxFreeMessages = 1024
+
+// NewMessage returns a message with zeroed header fields and an n-word
+// body for the caller to fill, reusing a shell released by Recycle when
+// one is free. The chips of one machine
+// step on one goroutine, so the free list needs no lock.
+func (n *Network) NewMessage(body int) *Message {
+	var m *Message
+	if k := len(n.free); k > 0 {
+		m = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		*m = Message{Body: m.Body[:0]}
+	} else {
+		m = &Message{}
+	}
+	if cap(m.Body) < body {
+		m.Body = make([]isa.Word, body)
+	} else {
+		m.Body = m.Body[:body]
+	}
+	return m
+}
+
+// Recycle releases a consumed message for reuse by NewMessage. The caller
+// must hold the last reference to m.
+func (n *Network) Recycle(m *Message) {
+	if len(n.free) < maxFreeMessages {
+		n.free = append(n.free, m)
+	}
 }
 
 // New creates a mesh of the given dimensions.

@@ -494,6 +494,38 @@ func (sv *Server) cancel(s *Session) attemptOutcome {
 	return attemptCanceled
 }
 
+// boot builds an attempt's simulator: restored from ck's machine
+// snapshot when it has a usable one, else fresh. Nothing reads a
+// session's trace (the event stream carries state, phases and the end),
+// so the hook is detached and the machine records no events.
+func (sv *Server) boot(s *Session, ck *checkpoint) (sim *core.Sim, run *core.ScenarioRun, resumed bool, err error) {
+	if sim, err = s.sc.NewSim(core.Options{}); err != nil {
+		return nil, nil, false, err
+	}
+	run = s.sc.NewRun(sim)
+	if len(ck.Machine) > 0 {
+		if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil {
+			if err := run.Seek(ck.NextStep, ck.PhaseRan, ck.Phases, ck.Checks); err == nil {
+				resumed = true
+			}
+		}
+		if resumed {
+			sv.count(func(st *Stats) { st.Restores++ })
+		}
+		if !resumed {
+			// Corrupt or incompatible snapshot: fall back to a fresh start.
+			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
+			sim.M.Close()
+			if sim, err = s.sc.NewSim(core.Options{}); err != nil {
+				return nil, nil, false, err
+			}
+			run = s.sc.NewRun(sim)
+		}
+	}
+	sim.M.SetTrace(nil)
+	return sim, run, resumed, nil
+}
+
 // runAttempt executes one attempt: boot (or restore) a simulator, then
 // advance the scenario quantum by quantum under a supervisor, spooling a
 // checkpoint at every run-slice boundary.
@@ -509,7 +541,7 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 		ck = &checkpoint{ID: s.ID}
 	}
 
-	sim, err := s.sc.NewSim(core.Options{})
+	sim, run, resumed, err := sv.boot(s, ck)
 	if err != nil {
 		return sv.fail(s, FailScenario, err)
 	}
@@ -520,29 +552,6 @@ func (sv *Server) runAttempt(s *Session) attemptOutcome {
 			sim.M.Close()
 		}
 	}()
-
-	run := s.sc.NewRun(sim)
-	resumed := false
-	if len(ck.Machine) > 0 {
-		if err := sim.M.Restore(bytes.NewReader(ck.Machine)); err == nil {
-			if err := run.Seek(ck.NextStep, ck.PhaseRan, ck.Phases, ck.Checks); err == nil {
-				resumed = true
-			}
-		}
-		if resumed {
-			sv.count(func(st *Stats) { st.Restores++ })
-		}
-		if !resumed {
-			// Corrupt or incompatible snapshot: fall back to a fresh start.
-			sv.cfg.logf("session %s: checkpoint restore failed; restarting from scratch", s.ID)
-			sim.M.Close()
-			if sim, err = s.sc.NewSim(core.Options{}); err != nil {
-				closeSim = false
-				return sv.fail(s, FailScenario, err)
-			}
-			run = s.sc.NewRun(sim)
-		}
-	}
 
 	// Chaos probes go only on a first attempt from a fresh start, so
 	// retries converge and drained sessions resume clean.

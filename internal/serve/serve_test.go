@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -985,5 +986,72 @@ func TestSpoolOldSnapshotVersion(t *testing.T) {
 				t.Errorf("restores %d, want %d", st.Restores, c.restores)
 			}
 		})
+	}
+}
+
+// TestSessionRecordsNoTrace runs a message-passing scenario as a session:
+// its digest and cycles must equal a traced in-process run's, and the
+// attempt's machine, booted fresh or restored from a mid-run checkpoint,
+// must record no trace events, since nothing reads them.
+func TestSessionRecordsNoTrace(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "workloads", "ringreduce.wl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(b)
+	sc, err := core.ScenarioFromDSL("ringreduce.wl", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, traced, err := sc.RunSim(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traced.Recorder.Events) == 0 {
+		t.Fatal("the traced reference run recorded no events")
+	}
+
+	cfg := testConfig(t)
+	sv := mustServer(t, cfg)
+	s, err := sv.Submit("ringreduce.wl", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitDone(t, s)
+	if info.State != StateDone {
+		t.Fatalf("state %s, failure %q", info.State, info.Failure)
+	}
+	if info.Digest != ref.Digest || info.TotalCycles != ref.TotalCycles {
+		t.Errorf("session digest %s cycles %d, traced run %s cycles %d",
+			info.Digest, info.TotalCycles, ref.Digest, ref.TotalCycles)
+	}
+
+	// A settled session has dropped its scenario; boot a stand-in.
+	attempt := &Session{ID: s.ID, sc: sc}
+	for _, ck := range []*checkpoint{{ID: s.ID}, midRunCheckpoint(t, cfg, s.ID, src, 1)} {
+		sim, run, resumed, err := sv.boot(attempt, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed != (len(ck.Machine) > 0) {
+			t.Errorf("boot resumed=%v from a checkpoint with %d machine bytes", resumed, len(ck.Machine))
+		}
+		for !run.Done() {
+			sup := guard.New(sim.M, guard.Options{})
+			if err := sup.Do(func() error { _, e := run.Advance(sup, 0); return e }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		digest, err := machine.Digest(sim.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(sim.Recorder.Events); n != 0 {
+			t.Errorf("resumed=%v: session machine recorded %d trace events, want 0", resumed, n)
+		}
+		if digest != ref.Digest {
+			t.Errorf("resumed=%v: digest %s, traced run %s", resumed, digest, ref.Digest)
+		}
+		sim.M.Close()
 	}
 }
